@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import gauss_panels
+from .quadrature import gauss_panels, golden_section
 
 EULER_GAMMA = 0.5772156649015328606
 LOG2 = math.log(2.0)
@@ -176,27 +176,12 @@ def kappa_bessel_sup(rho: float) -> float:
     lo = math.log(rs[max(i - 1, 0)])
     hi = math.log(rs[min(i + 1, rs.size - 1)])
 
-    def f(lr: float) -> float:
+    def neg(lr: float) -> float:
         r = math.exp(lr)
-        return r * kappa_bessel(rho, r)
+        return -r * kappa_bessel(rho, r)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
-            break
-    sup = max(fc, fd, float(vals[i]))
+    _, neg_sup = golden_section(neg, lo, hi, iters=80, tol=1e-12)
+    sup = max(-neg_sup, float(vals[i]))
 
     r_probe = 1e-8
     limit_scale = max(1.0, kappa_zero_limit(rho)) if rho > 0 else 1.0

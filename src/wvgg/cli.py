@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bessel, linalg
-from .density import (DensityCurve, default_r_grid, density_curve,
-                      h_derivative_at_zero, char_exponent, write_density_csv)
+from .density import default_r_grid, density_curve, char_exponent, write_density_csv
 from .engine import (Budget, VerificationError, build_sd_counterexample,
-                     classify, gstar, gstar_deriv, gstar_f_values, _sphere_grid)
+                     classify, _sphere_grid)
 from .geometry import QuantityContext, usp_infimum
 from .linalg import CovMatrix
 from .measures import WvggParams, params_from_json
@@ -97,8 +96,10 @@ def load_config(path: str, command: str | None, seed: int | None,
         seed=seed if seed is not None else int(raw.get("seed", 0)),
         r_min=float(grids.get("r_min", 1e-4)),
         r_max=float(grids.get("r_max", 50.0)),
-        r_count=int(grids.get("r_count", 200)),
-        s_count=int(grids.get("s_count", 8)),
+        # classify scans 120 radii and counterexample verifies 32 directions
+        # unless the config says otherwise
+        r_count=int(grids.get("r_count", 120 if cmd == "classify" else 200)),
+        s_count=int(grids.get("s_count", 32 if cmd == "counterexample" else 8)),
         s_list=grids.get("s_list"),
         x=raw.get("x"),
         tolerances=raw.get("tolerances", {}),
@@ -136,7 +137,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     budget = Budget(seed=cfg.seed,
                     s_samples=int(cfg.tolerances.get("s_samples", 64)),
-                    r_points=cfg.r_count if cfg.r_count != 200 else 120,
+                    r_points=cfg.r_count,
                     time_limit_s=cfg.tolerances.get("time_limit_s"))
     report = classify(params, budget)
     path = f"{cfg.output}report.json"
@@ -187,7 +188,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
         np.asarray(spec.get("d", [0.0] * n), dtype=float),
         np.asarray(spec["alpha"], dtype=float),
         np.asarray(spec["mu"], dtype=float), sigma,
-        s_count=cfg.s_count if cfg.s_count != 8 else 32,
+        s_count=cfg.s_count,
         r_grid=cfg.r_grid,
         margin_tol=float(cfg.tolerances.get("margin", 1e-10)))
     from .measures import measure_to_json

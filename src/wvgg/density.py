@@ -13,13 +13,13 @@ finite the derivative has the finite right limit
 
 Per measure component the u-integral collapses:
 
-* atoms: plain sums of kernel evaluations;
+* atoms and curves: the atoms and the curve parameter quadrature nodes are
+  r-independent, so they form one weighted point set whose geometric
+  quantities are cached per direction, and h is a plain weighted sum;
 * rays u = v * alpha: E and D are invariant along the ray while
-  A(s, v alpha)^2 = (aa v + mm) qs, so a single radial quadrature remains
-  (graded against density poles via a power substitution, truncated where the
-  Bessel kernel is spent);
-* curves: the parameter quadrature nodes are r-independent, so the geometric
-  quantities are cached per direction.
+  A(s, v alpha)^2 = (2 v ||alpha||^2 + m) q (``geometry.quantities``), so a
+  single radial quadrature remains (graded against density poles via a power
+  substitution, truncated where the Bessel kernel is spent).
 
 Every term is assembled as exp(r E + ln kappa - ln D) to dodge overflow in
 either factor.  Evaluations require n >= 2; n = 1 is not applicable here.
@@ -33,9 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import kappa_log_grid
+from .geometry import Quantities, quantities
 from .linalg import CovMatrix, as_vector, diamond_mat_raw
-from .measures import Atom, Curve, Ray, ThorinMeasure, WvggParams
-from .quadrature import IntegralResult, _leggauss, improper_integral
+from .measures import Atom, Curve, Ray, RayDensity, ThorinMeasure, WvggParams, integrate
+from .quadrature import IntegralResult, _leggauss
+from .quadrature import improper_integral  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 BESSEL_CUT = 80.0
 _GRADE_DECADES = 10
@@ -53,52 +55,6 @@ def c_n(n: int) -> float:
 
 
 # -- per-direction geometry ---------------------------------------------------
-
-@dataclass
-class _AtomGeom:
-    mass: np.ndarray
-    e: np.ndarray
-    a: np.ndarray
-    logd: np.ndarray
-
-
-@dataclass
-class _RayGeom:
-    e: float
-    logd: float
-    qs: float
-    aa: float
-    mm: float
-    density: object
-
-    def a_of_v(self, v: np.ndarray) -> np.ndarray:
-        return np.sqrt((self.aa * v + self.mm) * self.qs)
-
-
-@dataclass
-class _CurveGeom:
-    nodes: np.ndarray
-    weights: np.ndarray
-    e: np.ndarray
-    a: np.ndarray
-    logd: np.ndarray
-
-
-def _quantities_at(mu, sigma, s, us: np.ndarray):
-    """(E, A, log D, qs) for a batch of orthant points us, shape (m, n)."""
-    n = s.size
-    mins = np.minimum(us[:, :, None], us[:, None, :])
-    mats = mins * sigma[None, :, :]
-    rhs = np.stack([np.broadcast_to(s, us.shape), us * mu[None, :]], axis=2)
-    sols = np.linalg.solve(mats, rhs)
-    qs = np.einsum("mk,mk->m", np.broadcast_to(s, us.shape), sols[:, :, 0])
-    e = np.einsum("mk,mk->m", np.broadcast_to(s, us.shape), sols[:, :, 1])
-    drift = np.einsum("mk,mk->m", us * mu[None, :], sols[:, :, 1])
-    a = np.sqrt((2.0 * np.einsum("mk,mk->m", us, us) + drift) * qs)
-    dets = np.linalg.det(mats)
-    logd = (n / 2.0) * np.log(qs) + 0.5 * np.log(dets)
-    return e, a, logd, qs
-
 
 def _curve_breakpoints(c: Curve, samples: int = 2001) -> list[float]:
     """Parameter values where the coordinate ordering of c(theta) changes.
@@ -136,7 +92,6 @@ def _curve_param_nodes(c: Curve, halves: int = 30):
     """Panel nodes for a curve component: log-graded toward the interval
     endpoints, split exactly at ordering kinks, smooth segments GL-composite."""
     lo, hi = c.interval
-    span = hi - lo
     seg_edges = [lo] + [b for b in _curve_breakpoints(c) if lo < b < hi] + [hi]
     edges_list = []
     for a, b in zip(seg_edges[:-1], seg_edges[1:]):
@@ -162,7 +117,13 @@ def _curve_param_nodes(c: Curve, halves: int = 30):
 
 
 class _DirectionGeometry:
-    """Cached component geometry for one direction s."""
+    """Cached component geometry for one direction s.
+
+    Atoms and curve quadrature nodes form one weighted point set (weights are
+    masses and parameter-quadrature weights) with r-independent E, A, ln D.
+    Rays keep their kernel row at the direction, since their radial nodes
+    depend on r.
+    """
 
     def __init__(self, params: WvggParams, s):
         if params.n < 2:
@@ -174,45 +135,34 @@ class _DirectionGeometry:
         if not params.sigma.invertible:
             raise ValueError("Sigma must be invertible")
         mu, sigma = params.mu, params.sigma.entries
-        self.atoms: _AtomGeom | None = None
-        self.rays: list[_RayGeom] = []
-        self.curve_geoms: list[_CurveGeom] = []
-
-        atom_pts = [c for c in params.U.positive_part() if isinstance(c, Atom)]
-        if atom_pts:
-            pts = np.stack([c.point for c in atom_pts])
-            e, a, logd, _ = _quantities_at(mu, sigma, self.s, pts)
-            self.atoms = _AtomGeom(np.array([c.mass for c in atom_pts]), e, a, logd)
-
+        points, weights = [np.zeros((0, params.n))], [np.zeros(0)]
+        self.rays: list[tuple[Quantities, RayDensity]] = []
         for c in params.U.positive_part():
-            if isinstance(c, Ray):
-                al = c.direction
-                m = diamond_mat_raw(al, sigma)
-                sol = np.linalg.solve(m, np.stack([self.s, al * mu], axis=1))
-                qs = float(self.s @ sol[:, 0])
-                e = float(self.s @ sol[:, 1])
-                mm = float((al * mu) @ sol[:, 1])
-                det = float(np.linalg.det(m))
-                logd = (params.n / 2.0) * math.log(qs) + 0.5 * math.log(det)
-                self.rays.append(_RayGeom(e, logd, qs, 2.0 * float(al @ al), mm,
-                                          c.density))
-            elif isinstance(c, Curve):
-                nodes, weights = _curve_param_nodes(c)
-                pts = c.points(nodes)
-                e, a, logd, _ = _quantities_at(mu, sigma, self.s, pts)
-                self.curve_geoms.append(_CurveGeom(nodes, weights, e, a, logd))
+            if isinstance(c, Atom):
+                points.append(c.point[None, :])
+                weights.append(np.array([c.mass]))
+            elif isinstance(c, Ray):
+                self.rays.append((quantities(mu, sigma, self.s, c.direction[None, :]),
+                                  c.density))
+            else:
+                nodes, w = _curve_param_nodes(c)
+                points.append(c.points(nodes))
+                weights.append(w)
+        self.weights = np.concatenate(weights)
+        self.nodes = quantities(mu, sigma, self.s, np.concatenate(points))
+        self.a = self.nodes.a()
 
 
-def _ray_vgrid(geo: _RayGeom, r: float):
+def _ray_vgrid(qq: Quantities, density: RayDensity, r: float):
     """Graded radial nodes (v, y-jacobian weights) truncated at Bessel cutoff."""
-    lo = geo.density.support_lo
-    x_lo = r * geo.a_of_v(np.array([lo]))[0]
+    lo = density.support_lo
+    x_lo = r * float(qq.a(lo)[0])
     x_hi = max(x_lo + BESSEL_CUT, BESSEL_CUT)
-    v_cut = ((x_hi / r) ** 2 / geo.qs - geo.mm) / geo.aa
-    v_cut = min(v_cut, geo.density.support_hi)
+    v_cut = ((x_hi / r) ** 2 / float(qq.q[0]) - float(qq.m[0])) / (2.0 * float(qq.uu[0]))
+    v_cut = min(v_cut, density.support_hi)
     if v_cut <= lo:
         return None
-    q = 1.0 + min(getattr(geo.density, "pole_at_0", 0.0), 0.0)
+    q = 1.0 + min(getattr(density, "pole_at_0", 0.0), 0.0)
     y_hi = (v_cut - lo) ** q
     # low end anchored absolutely (not to the r-dependent cutoff), so the
     # truncated tail mass cannot drift with r and pollute finite differences
@@ -230,155 +180,79 @@ def _ray_vgrid(geo: _RayGeom, r: float):
     return v, wts * jac
 
 
-def _h_terms(geom: _DirectionGeometry, r: float, *, derivative: bool) -> float:
-    """h_s(r) or its radial derivative, component sums in exp-assembled form."""
+def _kernel_sum(n: int, r: float, w: np.ndarray, e: np.ndarray, a: np.ndarray,
+                logd: np.ndarray, derivative: bool) -> float:
+    """sum w exp(r E - ln D) kappa_{n/2}(r A), or its derivative in r."""
+    logk = kappa_log_grid(n / 2.0, r * a, h=_KAPPA_H)
+    base = np.exp(r * e - logd + logk)
+    if not derivative:
+        return float(np.sum(w * base))
+    logk2 = kappa_log_grid((n - 2) / 2.0, r * a, h=_KAPPA_H)
+    base2 = np.exp(r * e - logd + logk2)
+    return float(np.sum(w * (e * base - r * a ** 2 * base2)))
+
+
+def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:
+    """h_s or its radial derivative at each radius of rs, from the component
+    sums in exp-assembled form."""
     n = geom.params.n
-    nu = n / 2.0
-    rho = (n - 2) / 2.0
-    total = 0.0
-    at = geom.atoms
-    if at is not None:
-        logk = kappa_log_grid(nu, r * at.a, h=_KAPPA_H)
-        expo = np.exp(r * at.e - at.logd + logk)
-        if derivative:
-            logk2 = kappa_log_grid(rho, r * at.a, h=_KAPPA_H)
-            expo2 = np.exp(r * at.e - at.logd + logk2)
-            total += float(np.sum(at.mass * (at.e * expo - r * at.a ** 2 * expo2)))
-        else:
-            total += float(np.sum(at.mass * expo))
-    for geo in geom.rays:
-        grid = _ray_vgrid(geo, r)
-        if grid is None:
-            continue
-        v, wts = grid
-        a_v = geo.a_of_v(v)
-        dens = geo.density(v)
-        logk = kappa_log_grid(nu, r * a_v, h=_KAPPA_H)
-        base = np.exp(r * geo.e - geo.logd + logk) * dens
-        if derivative:
-            logk2 = kappa_log_grid(rho, r * a_v, h=_KAPPA_H)
-            base2 = np.exp(r * geo.e - geo.logd + logk2) * dens
-            total += float(np.sum(wts * (geo.e * base - r * a_v ** 2 * base2)))
-        else:
-            total += float(np.sum(wts * base))
-    for cg in geom.curve_geoms:
-        logk = kappa_log_grid(nu, r * cg.a, h=_KAPPA_H)
-        base = np.exp(r * cg.e - cg.logd + logk)
-        if derivative:
-            logk2 = kappa_log_grid(rho, r * cg.a, h=_KAPPA_H)
-            base2 = np.exp(r * cg.e - cg.logd + logk2)
-            total += float(np.sum(cg.weights * (cg.e * base - r * cg.a ** 2 * base2)))
-        else:
-            total += float(np.sum(cg.weights * base))
-    if not math.isfinite(total):
-        raise ArithmeticError("component integral overflowed; parameters too extreme")
-    return c_n(n) * total
+    nodes = geom.nodes
+    out = np.empty(len(rs))
+    for i, r in enumerate(rs):
+        r = float(r)
+        total = _kernel_sum(n, r, geom.weights, nodes.e, geom.a, nodes.logd, derivative)
+        for qq, density in geom.rays:
+            grid = _ray_vgrid(qq, density, r)
+            if grid is None:
+                continue
+            v, wts = grid
+            total += _kernel_sum(n, r, wts * density(v), qq.e, qq.a(v), qq.logd,
+                                 derivative)
+        if not math.isfinite(total):
+            raise ArithmeticError("component integral overflowed; parameters too extreme")
+        out[i] = c_n(n) * total
+    return out
 
 
 def h_density(params: WvggParams, s, r: float) -> float:
     """Polar density h_s(r); nonnegative, n >= 2."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    return _h_terms(_DirectionGeometry(params, s), r, derivative=False)
+    return float(_h_terms(_DirectionGeometry(params, s), [r], derivative=False)[0])
 
 
 def h_derivative(params: WvggParams, s, r: float) -> float:
     """Radial derivative of h_s at r, computed under the integral."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    return _h_terms(_DirectionGeometry(params, s), r, derivative=True)
+    return float(_h_terms(_DirectionGeometry(params, s), [r], derivative=True)[0])
 
 
 def h_many(params: WvggParams, s, rs: np.ndarray, *, derivative: bool = False) -> np.ndarray:
-    geom = _DirectionGeometry(params, s)
-    return np.array([_h_terms(geom, float(r), derivative=derivative) for r in rs])
+    return _h_terms(_DirectionGeometry(params, s), rs, derivative=derivative)
 
 
 # -- moment integrals against the measure -------------------------------------
 
-def a_over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s) -> IntegralResult:
-    """int A(s,u) dU(u) / D(s,u) over the open orthant, with divergence detection."""
+def _over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s, numerator) -> IntegralResult:
     mu = as_vector(mu, sigma.n)
     sv = as_vector(s, sigma.n)
-    total, err = 0.0, 0.0
-    for c in U.positive_part():
-        if isinstance(c, Atom):
-            e, a, logd, _ = _quantities_at(mu, sigma.entries, sv, c.point[None, :])
-            total += c.mass * float(a[0]) * math.exp(-float(logd[0]))
-        elif isinstance(c, Ray):
-            m = diamond_mat_raw(c.direction, sigma.entries)
-            sol = np.linalg.solve(m, np.stack([sv, c.direction * mu], axis=1))
-            qs = float(sv @ sol[:, 0])
-            mm = float((c.direction * mu) @ sol[:, 1])
-            aa = 2.0 * float(c.direction @ c.direction)
-            det = float(np.linalg.det(m))
-            d_ray = qs ** (sigma.n / 2.0) * math.sqrt(det)
 
-            def f(v):
-                return np.sqrt((aa * v + mm) * qs) / d_ray * c.density(v)
+    def g(points, t):
+        qq = quantities(mu, sigma.entries, sv, points)
+        return numerator(qq, t) * np.exp(-qq.logd)
 
-            res = improper_integral(f, lo=c.density.support_lo,
-                                    hi=c.density.support_hi, open_lo=True, open_hi=True)
-            if not res.finite:
-                return res
-            total += res.value
-            err += res.error
-        else:
-            lo, hi = c.interval
+    return integrate(U.positive_part(), g)
 
-            def f(thetas):
-                pts = c.points(np.asarray(thetas))
-                e, a, logd, _ = _quantities_at(mu, sigma.entries, sv, pts)
-                return a * np.exp(-logd)
 
-            res = improper_integral(f, lo=lo, hi=hi, open_lo=True, open_hi=True)
-            if not res.finite:
-                return res
-            total += res.value
-            err += res.error
-    return IntegralResult(total, err, False)
+def a_over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s) -> IntegralResult:
+    """int A(s,u) dU(u) / D(s,u) over the open orthant, with divergence detection."""
+    return _over_d_integral(U, mu, sigma, s, lambda qq, t: qq.a(t))
 
 
 def e_over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s) -> IntegralResult:
     """int E(s,u) dU(u) / D(s,u) over the open orthant."""
-    mu = as_vector(mu, sigma.n)
-    sv = as_vector(s, sigma.n)
-    total, err = 0.0, 0.0
-    for c in U.positive_part():
-        if isinstance(c, Atom):
-            e, a, logd, _ = _quantities_at(mu, sigma.entries, sv, c.point[None, :])
-            total += c.mass * float(e[0]) * math.exp(-float(logd[0]))
-        elif isinstance(c, Ray):
-            m = diamond_mat_raw(c.direction, sigma.entries)
-            sol = np.linalg.solve(m, np.stack([sv, c.direction * mu], axis=1))
-            qs = float(sv @ sol[:, 0])
-            e_ray = float(sv @ sol[:, 1])
-            det = float(np.linalg.det(m))
-            d_ray = qs ** (sigma.n / 2.0) * math.sqrt(det)
-
-            def f(v):
-                return np.full_like(np.asarray(v, dtype=float), e_ray / d_ray) * c.density(v)
-
-            res = improper_integral(f, lo=c.density.support_lo,
-                                    hi=c.density.support_hi, open_lo=True, open_hi=True)
-            if not res.finite:
-                return res
-            total += res.value
-            err += res.error
-        else:
-            lo, hi = c.interval
-
-            def f(thetas):
-                pts = c.points(np.asarray(thetas))
-                e, a, logd, _ = _quantities_at(mu, sigma.entries, sv, pts)
-                return e * np.exp(-logd)
-
-            res = improper_integral(f, lo=lo, hi=hi, open_lo=True, open_hi=True)
-            if not res.finite:
-                return res
-            total += res.value
-            err += res.error
-    return IntegralResult(total, err, False)
+    return _over_d_integral(U, mu, sigma, s, lambda qq, t: qq.e)
 
 
 @dataclass
@@ -413,53 +287,24 @@ def char_exponent(params: WvggParams, theta) -> complex:
     branch log integral against the full Thorin measure."""
     th = as_vector(theta, params.n)
     mu, sigma = params.mu, params.sigma.entries
+
+    def log_arg(points, t):
+        # 1 + (-i <u <> mu, theta> + theta (u <> Sigma) theta' / 2) / ||u||^2 at
+        # u = t * points: the numerator scales by t, the norm by t^2.  The
+        # quadratic form is taken point by point because the char-exponent
+        # workload of perfbench counts these diamond_mat_raw calls; batching it
+        # waits for that count to change (ROADMAP).
+        quads = np.array([float(th @ diamond_mat_raw(p, sigma) @ th) for p in points])
+        z = -1j * ((points * mu) @ th) + 0.5 * quads
+        return 1.0 + z / (t * np.einsum("kj,kj->k", points, points))
+
     dmu = params.d * mu
     dsig = diamond_mat_raw(params.d, sigma)
     val = 1j * float(dmu @ th) - 0.5 * float(th @ dsig @ th)
-    for c in params.U.components:
-        if isinstance(c, Atom):
-            p = c.point
-            num = (float(p @ p) - 1j * float((p * mu) @ th)
-                   + 0.5 * float(th @ diamond_mat_raw(p, sigma) @ th))
-            assert num.real > 0.0, "log argument must have positive real part"
-            val -= c.mass * np.log(num / float(p @ p))
-        elif isinstance(c, Ray):
-            al = c.direction
-            a2 = float(al @ al)
-            z = (-1j * float((al * mu) @ th)
-                 + 0.5 * float(th @ diamond_mat_raw(al, sigma) @ th))
-
-            def f_re(v):
-                return np.log(np.abs(1.0 + z / (v * a2))) * c.density(v)
-
-            def f_im(v):
-                return np.angle(1.0 + z / (v * a2)) * c.density(v)
-
-            re = improper_integral(f_re, lo=c.density.support_lo,
-                                   hi=c.density.support_hi, open_lo=True, open_hi=True)
-            im = improper_integral(f_im, lo=c.density.support_lo,
-                                   hi=c.density.support_hi, open_lo=True, open_hi=True)
-            re.require_finite("characteristic-exponent integral")
-            im.require_finite("characteristic-exponent integral")
-            val -= re.value + 1j * im.value
-        else:
-            lo, hi = c.interval
-
-            def f_c(thetas):
-                pts = c.points(np.asarray(thetas))
-                norms2 = np.einsum("mk,mk->m", pts, pts)
-                cross = np.einsum("mk,k->m", pts * mu[None, :], th)
-                quads = np.array([float(th @ diamond_mat_raw(p, sigma) @ th) for p in pts])
-                return np.log((norms2 - 1j * cross + 0.5 * quads) / norms2)
-
-            re = improper_integral(lambda t: np.real(f_c(t)), lo=lo, hi=hi,
-                                   open_lo=True, open_hi=True)
-            im = improper_integral(lambda t: np.imag(f_c(t)), lo=lo, hi=hi,
-                                   open_lo=True, open_hi=True)
-            re.require_finite("characteristic-exponent integral")
-            im.require_finite("characteristic-exponent integral")
-            val -= re.value + 1j * im.value
-    return complex(val)
+    what = "characteristic-exponent integral"
+    re = integrate(params.U.components, lambda p, t: np.log(np.abs(log_arg(p, t))))
+    im = integrate(params.U.components, lambda p, t: np.angle(log_arg(p, t)))
+    return complex(val - re.require_finite(what) - 1j * im.require_finite(what))
 
 
 def vg_char_exponent_closed_form(b: float, sigma: CovMatrix, theta) -> complex:
@@ -509,8 +354,8 @@ def default_r_grid(r_min: float = 1e-4, r_max: float = 50.0, count: int = 200) -
 def density_curve(params: WvggParams, s, r_grid=None) -> DensityCurve:
     rs = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     geom = _DirectionGeometry(params, s)
-    values = np.array([_h_terms(geom, float(r), derivative=False) for r in rs])
-    deriv = np.array([_h_terms(geom, float(r), derivative=True) for r in rs])
+    values = _h_terms(geom, rs, derivative=False)
+    deriv = _h_terms(geom, rs, derivative=True)
     err = np.abs(values) * 1e-7
     return DensityCurve(as_vector(s, params.n), rs, values, deriv, err)
 
@@ -551,8 +396,7 @@ def monotonicity_scan(params: WvggParams, s_samples, r_grid=None,
     rs = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     out = []
     for s in s_samples:
-        geom = _DirectionGeometry(params, s)
-        vals = np.array([_h_terms(geom, float(r), derivative=False) for r in rs])
+        vals = h_many(params, s, rs)
         ratios = vals[1:] / np.maximum(vals[:-1], 1e-300)
         # pairs this deep in the underflow floor carry no signal
         meaningful = vals[1:] > 1e-250

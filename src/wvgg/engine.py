@@ -40,12 +40,13 @@ import numpy as np
 from .bessel import bessel_tail, kappa_bessel
 from .density import (a_over_d_integral, default_r_grid, e_over_d_integral,
                       h_derivative_at_zero, monotonicity_scan)
-from .geometry import QuantityContext, v_plus_member
+from .geometry import QuantityContext, quantities, v_plus_member
 from .linalg import CovMatrix, as_vector, diamond_mat_raw
 from .measures import (Atom, Curve, Ray, RayDensity, ThorinMeasure,
-                       NotRaySupported, WvggParams, moment_strong,
+                       NotRaySupported, WvggParams, integrate, moment_strong,
                        ray_half_moment, sdcex_measure)
-from .quadrature import IntegralResult, improper_integral
+from .quadrature import IntegralResult
+from .quadrature import improper_integral  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 PATTERN_TOL = 1e-12
 
@@ -424,19 +425,6 @@ class EquivalenceReport:
     direct_value: float | None = None
 
 
-def _inf_support_norm(components) -> float:
-    vals = []
-    for c in components:
-        if isinstance(c, Atom):
-            vals.append(float(np.linalg.norm(c.point)))
-        elif isinstance(c, Ray):
-            lo = c.density.support_lo
-            vals.append(lo * float(np.linalg.norm(c.direction)))
-        else:
-            return 0.0
-    return min(vals) if vals else math.inf
-
-
 def _on_unit_sphere(components) -> bool:
     for c in components:
         if isinstance(c, Atom):
@@ -457,56 +445,31 @@ def equivalent_conditions(U: ThorinMeasure, ctx: QuantityContext, s) -> Equivale
     against the direct quadrature; the two verdicts must agree."""
     sv = as_vector(s, ctx.n)
     positive = U.positive_part()
+    kinds = {type(c) for c in positive}
     direct = a_over_d_integral(U, ctx.mu, ctx.sigma, sv)
+    n = ctx.n
 
-    def norm_weight(pts: np.ndarray, power: float) -> np.ndarray:
-        mins = np.minimum(pts[:, :, None], pts[:, None, :])
-        mats = mins * ctx.sigma.entries[None, :, :]
-        sols = np.linalg.solve(mats, np.broadcast_to(sv, pts.shape)[..., None])[..., 0]
-        qs = np.einsum("k,mk->m", sv, sols)
-        return qs ** (power / 2.0)
+    def sphere_weight(points, t):
+        # ||s||^(1-n)_{M^-1} / sqrt(prod u) at u = t * points
+        q = quantities(ctx.mu, ctx.sigma.entries, sv, points).q / t
+        return q ** ((1.0 - n) / 2.0) / np.sqrt(t ** n * np.prod(points, axis=-1))
 
     clause = "direct-only"
     equiv: IntegralResult | None = None
-    n = ctx.n
     if _on_unit_sphere(positive) and positive:
         clause = "(ii)"
-        total, err, divergent = 0.0, 0.0, False
-        for c in positive:
-            if isinstance(c, Atom):
-                w = norm_weight(c.point[None, :], 1.0 - n)
-                total += c.mass * float(w[0]) / math.sqrt(float(np.prod(c.point)))
-            else:
-                lo, hi = c.interval
-
-                def f(thetas):
-                    pts = c.points(np.asarray(thetas))
-                    return (norm_weight(pts, 1.0 - n)
-                            / np.sqrt(np.prod(pts, axis=-1)))
-
-                res = improper_integral(f, lo=lo, hi=hi, open_lo=True, open_hi=True)
-                if not res.finite:
-                    divergent = True
-                    break
-                total += res.value
-                err += res.error
-        equiv = IntegralResult(math.inf if divergent else total, err, divergent)
-    elif any(isinstance(c, Ray) for c in positive) and not any(
-            isinstance(c, Curve) for c in positive):
+        equiv = integrate(positive, sphere_weight)
+    elif Ray in kinds and Curve not in kinds:
         clause = "(iii)"
         tails = ray_half_moment(U, tail_only=True)
         divergent = any(not m.result.finite for m in tails)
         total = math.inf if divergent else sum(m.result.value for m in tails)
         equiv = IntegralResult(total, 0.0, divergent)
-    elif positive and _inf_support_norm(positive) > 0:
+    elif kinds == {Atom}:
+        # atoms keep the support away from the origin (rays took clause (iii))
         clause = "(i)"
-        total = 0.0
-        for c in positive:
-            assert isinstance(c, Atom)
-            w = norm_weight(c.point[None, :], 1.0 - n)
-            total += (c.mass * float(np.linalg.norm(c.point)) * float(w[0])
-                      / math.sqrt(float(np.prod(c.point))))
-        equiv = IntegralResult(total, 0.0, False)
+        equiv = integrate(positive, lambda points, t: (
+            t * np.linalg.norm(points, axis=-1) * sphere_weight(points, t)))
 
     if equiv is None:
         return EquivalenceReport("direct-only", None, direct.finite, True,
@@ -634,15 +597,10 @@ def gstar_deriv(t: float, f_s: float) -> float:
 
 def gstar_f_values(alpha, mu, sigma: CovMatrix, s_list) -> list[float]:
     """f_s = E_s / sqrt(b_s) for directions s; |f_s| <= 1 by Cauchy-Schwarz."""
-    al = as_vector(alpha, sigma.n)
+    al = as_vector(alpha, sigma.n)[None, :]
     muv = as_vector(mu, sigma.n)
-    m_mat = diamond_mat_raw(al, sigma.entries)
-    m_vec = al * muv
     out = []
     for s in s_list:
-        sv = as_vector(s, sigma.n)
-        sol = np.linalg.solve(m_mat, np.stack([sv, m_vec], axis=1))
-        e_s = float(sv @ sol[:, 1])
-        b_s = float(m_vec @ sol[:, 1]) * float(sv @ sol[:, 0])
-        out.append(e_s / math.sqrt(b_s))
+        qq = quantities(muv, sigma.entries, as_vector(s, sigma.n), al)
+        out.append(float(qq.e[0] / np.sqrt(qq.m[0] * qq.q[0])))
     return out

@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (CovMatrix, DimensionError, as_vector, delta_matrix_batch,
-                     diamond_mat_raw)
+from .linalg import CovMatrix, DimensionError, as_vector, delta_matrix_batch, diamond_mat_raw
+from .quadrature import golden_section
 
 INTERIOR_CLIP = 1e-8
 BOUNDARY_TOL = 1e-6
@@ -47,58 +48,70 @@ class QuantityContext:
         return self.sigma.n
 
 
-def _dmat(ctx: QuantityContext, u: np.ndarray) -> np.ndarray:
-    return diamond_mat_raw(u, ctx.sigma.entries)
+class Quantities(NamedTuple):
+    """Geometry of a batch of orthant points u against one x, M = u <> Sigma."""
+    e: np.ndarray       # E(x, u)
+    logd: np.ndarray    # ln D(x, u)
+    q: np.ndarray       # ||x||^2_{M^-1}
+    m: np.ndarray       # ||u <> mu||^2_{M^-1}
+    uu: np.ndarray      # ||u||^2
+
+    def a(self, t=1.0) -> np.ndarray:
+        """A(x, t u) for t > 0 (E and D do not depend on t)."""
+        return np.sqrt((2.0 * t * self.uu + self.m) * self.q)
+
+
+def quantities(mu: np.ndarray, sigma: np.ndarray, x: np.ndarray,
+               us: np.ndarray) -> Quantities:
+    """E, ln D, q, m and ||u||^2 for the orthant points ``us``, shape (k, n).
+
+    One batched Cholesky factor L of M serves every quantity: with the forward
+    solves y = L^-1 x and z = L^-1 (u <> mu), q = |y|^2, m = |z|^2, E = y.z and
+    ln|M| = 2 sum ln L_ii, so D never forms a determinant that can under- or
+    overflow.  Scaling u by t > 0 scales M by t, which leaves E and D unchanged
+    and gives A(x, t u) = sqrt((2 t ||u||^2 + m) q): a ray needs one call at its
+    direction whatever its radial nodes.
+    """
+    us = np.asarray(us, dtype=float)
+    n = us.shape[1]
+    chol = np.linalg.cholesky(diamond_mat_raw(us, sigma))
+    rhs = np.stack([np.broadcast_to(x, us.shape), us * mu], axis=2)
+    y = np.empty_like(rhs)
+    for i in range(n):
+        y[:, i] = ((rhs[:, i] - (chol[:, i, :i, None] * y[:, :i]).sum(axis=1))
+                   / chol[:, i, i, None])
+    q = np.einsum("kj,kj->k", y[..., 0], y[..., 0])
+    e = np.einsum("kj,kj->k", y[..., 0], y[..., 1])
+    m = np.einsum("kj,kj->k", y[..., 1], y[..., 1])
+    logd = (n / 2.0) * np.log(q) + np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return Quantities(e, logd, q, m, np.einsum("kj,kj->k", us, us))
+
+
+def _at(ctx: QuantityContext, x, u) -> Quantities:
+    return quantities(ctx.mu, ctx.sigma.entries, as_vector(x, ctx.n), _check_u(ctx, u)[None, :])
 
 
 def e_quantity(ctx: QuantityContext, x, u) -> float:
     """Exponent quantity <x, u <> mu>_{(u <> Sigma)^{-1}}."""
-    xv = as_vector(x, ctx.n)
-    uv = _check_u(ctx, u)
-    m = _dmat(ctx, uv)
-    return float(xv @ np.linalg.solve(m, uv * ctx.mu))
+    return float(_at(ctx, x, u).e[0])
 
 
 def a_quantity(ctx: QuantityContext, x, u) -> float:
     """Argument quantity entering the Bessel kernel; strictly positive for x != 0."""
-    xv = as_vector(x, ctx.n)
-    uv = _check_u(ctx, u)
-    m = _dmat(ctx, uv)
-    umu = uv * ctx.mu
-    drift_term = float(umu @ np.linalg.solve(m, umu))
-    qx = float(xv @ np.linalg.solve(m, xv))
-    val = (2.0 * float(uv @ uv) + drift_term) * qx
-    assert val >= 0.0
-    return math.sqrt(val)
+    return float(_at(ctx, x, u).a()[0])
 
 
 def d_quantity(ctx: QuantityContext, y, u) -> float:
     """Denominator quantity ||y||^n |u <> Sigma|^{1/2}; y must be nonzero."""
-    yv = as_vector(y, ctx.n)
-    if not np.any(yv):
+    if not np.any(as_vector(y, ctx.n)):
         raise ValueError("y must be nonzero")
-    uv = _check_u(ctx, u)
-    m = _dmat(ctx, uv)
-    det = float(np.linalg.det(m))
-    assert det > 0.0, "u <> Sigma must stay invertible on the open orthant"
-    qy = float(yv @ np.linalg.solve(m, yv))
-    return qy ** (ctx.n / 2.0) * math.sqrt(det)
+    return math.exp(_at(ctx, y, u).logd[0])
 
 
 def ade_quantities(ctx: QuantityContext, x, u) -> tuple[float, float, float]:
-    """(A, D, E) in one solve pass."""
-    xv = as_vector(x, ctx.n)
-    uv = _check_u(ctx, u)
-    m = _dmat(ctx, uv)
-    umu = uv * ctx.mu
-    sol = np.linalg.solve(m, np.stack([xv, umu], axis=1))
-    qx = float(xv @ sol[:, 0])
-    e = float(xv @ sol[:, 1])
-    drift_term = float(umu @ sol[:, 1])
-    a = math.sqrt((2.0 * float(uv @ uv) + drift_term) * qx)
-    det = float(np.linalg.det(m))
-    d = qx ** (ctx.n / 2.0) * math.sqrt(det)
-    return a, d, e
+    """(A, D, E) from one kernel call."""
+    qq = _at(ctx, x, u)
+    return float(qq.a()[0]), math.exp(qq.logd[0]), float(qq.e[0])
 
 
 def _check_u(ctx: QuantityContext, u) -> np.ndarray:
@@ -135,40 +148,20 @@ def _ratio_objective_batch(mu_p: np.ndarray, sigma_p: np.ndarray, x_p: np.ndarra
     return np.einsum("k,mk->m", mu_p, sols[..., 0])
 
 
-def _ratio_objective(mu_p, sigma_p, x_p, v) -> float:
-    return float(_ratio_objective_batch(mu_p, sigma_p, x_p, np.asarray(v)[None, :])[0])
-
-
 def _coordinate_descent(fun, v0: np.ndarray, lo: float, hi: float,
                         sweeps: int = 40) -> tuple[np.ndarray, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     v = v0.copy()
     best = fun(v)
     for _ in range(sweeps):
         improved = best
         for k in range(v.size):
-            a, b = lo, hi
             vk = v.copy()
 
             def f1(t):
                 vk[k] = t
                 return fun(vk)
 
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc, fd = f1(c), f1(d)
-            for _ in range(60):
-                if fc < fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = f1(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = f1(d)
-                if b - a < 1e-13:
-                    break
-            t_best, f_best = (c, fc) if fc < fd else (d, fd)
+            t_best, f_best = golden_section(f1, lo, hi, iters=60, tol=1e-13)
             for t_cand in (lo, hi):
                 vk[k] = t_cand
                 f_cand = fun(vk)
@@ -226,7 +219,7 @@ def usp_infimum(ctx: QuantityContext, x, *, grid_points: int = GRID_POINTS,
 
     candidates.sort(key=lambda c: c[0])
     for val0, v0, p, mu_p, sigma_p, x_p in candidates[:3]:
-        fun = lambda v: _ratio_objective(mu_p, sigma_p, x_p, v)
+        fun = lambda v: float(_ratio_objective_batch(mu_p, sigma_p, x_p, v[None, :])[0])
         v_ref, val_ref = _coordinate_descent(fun, v0, lo, 1.0)
         if val_ref < best:
             best = val_ref
@@ -238,29 +231,6 @@ def usp_infimum(ctx: QuantityContext, x, *, grid_points: int = GRID_POINTS,
     boundary = bool(np.any(best_v < BOUNDARY_TOL))
     return InfimumEstimate(best, best_v, best_perm, boundary, certified,
                            uncertainty, samples)
-
-
-def usp_infimum_random(ctx: QuantityContext, x, *, restarts: int = 20,
-                       seed: int = 0) -> InfimumEstimate:
-    """Random-restart descent fallback for dimensions where the exhaustive
-    permutation scan is too costly; member verdicts from this path stay
-    'unknown'."""
-    from scipy.optimize import minimize
-    xv = as_vector(x, ctx.n)
-    rng = np.random.default_rng(seed)
-
-    def obj(t):
-        u = np.exp(np.clip(t, -30, 30))
-        return e_quantity(ctx, xv, u / np.linalg.norm(u))
-
-    best = math.inf
-    for _ in range(restarts):
-        t0 = rng.normal(scale=2.0, size=ctx.n)
-        res = minimize(obj, t0, method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12})
-        best = min(best, float(res.fun))
-    return InfimumEstimate(best, np.zeros(ctx.n - 1), list(range(ctx.n)),
-                           False, False, math.inf, restarts)
 
 
 @dataclass
@@ -296,29 +266,25 @@ class ScanResult:
     argmin_u: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-_SCAN_KINDS = ("inf_norm_y", "sup_norm_umu", "sup_abs_E", "inf_D")
+_SCAN_OBJECTIVES = {
+    "inf_norm_y": lambda qq: np.sqrt(qq.q),
+    "sup_norm_umu": lambda qq: -np.sqrt(qq.m),
+    "sup_abs_E": lambda qq: -np.abs(qq.e),
+    "inf_D": lambda qq: np.exp(qq.logd),
+}
 
 
 def extremal_scan(ctx: QuantityContext, which: str, arg=None) -> ScanResult:
     """Grid + local refinement over the positive part of the unit sphere for
     the four extremal quantities (inf ||y||, sup ||u <> mu||, sup |E|, inf D).
     """
-    if which not in _SCAN_KINDS:
+    if which not in _SCAN_OBJECTIVES:
         raise ValueError(f"unknown scan kind {which!r}")
     n = ctx.n
     xv = as_vector(arg, n) if arg is not None else ctx.mu
 
-    def objective(u: np.ndarray) -> float:
-        m = _dmat(ctx, u)
-        if which == "inf_norm_y":
-            return math.sqrt(float(xv @ np.linalg.solve(m, xv)))
-        if which == "sup_norm_umu":
-            umu = u * ctx.mu
-            return -math.sqrt(float(umu @ np.linalg.solve(m, umu)))
-        if which == "sup_abs_E":
-            return -abs(float(xv @ np.linalg.solve(m, u * ctx.mu)))
-        qy = float(xv @ np.linalg.solve(m, xv))
-        return qy ** (n / 2.0) * math.sqrt(float(np.linalg.det(m)))
+    def objective(us: np.ndarray) -> np.ndarray:
+        return _SCAN_OBJECTIVES[which](quantities(ctx.mu, ctx.sigma.entries, xv, us))
 
     if which == "inf_norm_y" and not np.any(xv):
         raise ValueError("argument must be nonzero")
@@ -329,7 +295,7 @@ def extremal_scan(ctx: QuantityContext, which: str, arg=None) -> ScanResult:
     ticks = np.linspace(0.05, 1.0, 7 if n <= 3 else 5)
     mesh = np.stack([g.ravel() for g in np.meshgrid(*([ticks] * n), indexing="ij")], axis=1)
     mesh = mesh / np.linalg.norm(mesh, axis=1, keepdims=True)
-    vals = np.array([objective(u) for u in mesh])
+    vals = objective(mesh)
     i = int(np.argmin(vals))
     u0 = mesh[i]
 
@@ -337,7 +303,7 @@ def extremal_scan(ctx: QuantityContext, which: str, arg=None) -> ScanResult:
 
     def obj_log(t):
         u = np.exp(np.clip(t, -34, 34))
-        return objective(u / np.linalg.norm(u))
+        return float(objective((u / np.linalg.norm(u))[None, :])[0])
 
     res = minimize(obj_log, np.log(u0), method="Nelder-Mead",
                    options={"maxiter": 600, "xatol": 1e-11, "fatol": 1e-13})

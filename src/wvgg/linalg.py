@@ -13,9 +13,8 @@ the derived quadratic forms well defined.
 
 from __future__ import annotations
 
-import math
 import warnings
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +127,9 @@ def diamond_mat(x, sigma) -> CovMatrix:
 
 
 def diamond_mat_raw(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Unchecked x <> Sigma for hot loops; caller guarantees x >= 0."""
-    return np.minimum.outer(x, x) * sigma
+    """Unchecked x <> Sigma for hot loops; caller guarantees x >= 0.  A batch
+    x of shape (k, n) gives the k matrices, shape (k, n, n)."""
+    return np.minimum(x[..., :, None], x[..., None, :]) * sigma
 
 
 class OppenheimRatio(NamedTuple):
@@ -287,14 +287,6 @@ def sigma_sym(u, sigma: CovMatrix) -> CovMatrix:
         raise ValueError("u must have strictly positive components")
     m = diamond_mat_raw(uv, sigma.entries) / uv[None, :]
     return CovMatrix(0.5 * (m + m.T))
-
-
-def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
-    n = len(perm)
-    p = np.zeros((n, n))
-    for i, j in enumerate(perm):
-        p[j, i] = 1.0
-    return p
 
 
 def random_spd(rng: np.random.Generator, n: int, *, ridge: float = 1e-6,

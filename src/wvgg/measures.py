@@ -19,9 +19,8 @@ self-decomposability ladder:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,7 +32,7 @@ __all__ = [
     "Atom", "Ray", "Curve", "RayDensity", "ThorinMeasure", "WvggParams",
     "NotRaySupported", "register_ray_density", "make_ray_density",
     "alpha_gamma_measure", "beta2_measure", "circle_measure", "sdcex_measure",
-    "validate", "moment_strong", "ray_half_moment",
+    "integrate", "integrate_component", "validate", "moment_strong", "ray_half_moment",
     "measure_to_json", "measure_from_json", "params_to_json", "params_from_json",
 ]
 
@@ -189,6 +188,40 @@ class Curve:
 Component = Atom | Ray | Curve
 
 
+def integrate_component(c: Component, g) -> IntegralResult:
+    """int g dU over one component, with divergence detection.
+
+    ``g(points, t)`` evaluates a functional at the points t * points, for a
+    batch ``points`` of shape (k, n) and a scalar or array t, broadcasting
+    over both.  An atom passes its point with t = 1 and is weighted by its
+    mass; a ray passes its direction once with t = v, the radial quadrature
+    nodes, times its density; a curve passes its points c(theta) with t = 1.
+    """
+    if isinstance(c, Atom):
+        return IntegralResult(c.mass * g(c.point[None, :], 1.0).item(), 0.0, False)
+    if isinstance(c, Ray):
+        direction = c.direction[None, :]
+        return improper_integral(lambda v: g(direction, v) * c.density(v),
+                                 lo=c.density.support_lo, hi=c.density.support_hi,
+                                 open_lo=True, open_hi=True)
+    lo, hi = c.interval
+    return improper_integral(lambda thetas: g(c.points(thetas), 1.0),
+                             lo=lo, hi=hi, open_lo=True, open_hi=True)
+
+
+def integrate(components, g) -> IntegralResult:
+    """Sum of int g dU over the components; the first divergent component's
+    result is returned as is."""
+    total, err = 0.0, 0.0
+    for c in components:
+        res = integrate_component(c, g)
+        if not res.finite:
+            return res
+        total += res.value
+        err += res.error
+    return IntegralResult(total, err, False)
+
+
 def _validity_weight(norms: np.ndarray) -> np.ndarray:
     return np.minimum(1.0 + np.maximum(-np.log(norms), 0.0), 1.0 / norms)
 
@@ -244,38 +277,18 @@ class ThorinMeasure:
                     out.append(c)
         return out
 
-    def positive_mass(self) -> bool:
-        return bool(self.positive_part())
-
     def __repr__(self):
         kinds = ",".join(type(c).__name__ for c in self.components)
         return f"ThorinMeasure(n={self.n}, [{kinds}])"
 
 
-def _component_validity(c: Component) -> IntegralResult:
-    if isinstance(c, Atom):
-        val = float(c.mass * _validity_weight(np.array([np.linalg.norm(c.point)]))[0])
-        return IntegralResult(val, 0.0, False, 0)
-    if isinstance(c, Ray):
-        scale = float(np.linalg.norm(c.direction))
-
-        def f(v):
-            return _validity_weight(v * scale) * c.density(v)
-
-        return improper_integral(f, lo=c.density.support_lo, hi=c.density.support_hi,
-                                 open_lo=True, open_hi=True)
-    lo, hi = c.interval
-
-    def f(thetas):
-        pts = c.points(thetas)
-        return _validity_weight(np.linalg.norm(pts, axis=-1))
-
-    return improper_integral(f, lo=lo, hi=hi, open_lo=True, open_hi=True)
-
-
 def validate(measure: ThorinMeasure) -> ValidationReport:
     """Numerical check of the defining integrability condition."""
-    results = [_component_validity(c) for c in measure.components]
+
+    def g(points, t):
+        return _validity_weight(t * np.linalg.norm(points, axis=-1))
+
+    results = [integrate_component(c, g) for c in measure.components]
     offending = next((i for i, r in enumerate(results) if not r.finite), None)
     total = sum(r.value for r in results) if offending is None else math.inf
     report = ValidationReport(offending is None, total, results, offending)
@@ -342,49 +355,16 @@ def sdcex_measure(a: float, b: float, c: float, g: float, alpha,
 
 # -- moment functionals -------------------------------------------------------
 
-def _orthant_factor(u: np.ndarray) -> float:
-    """(||u||^n / prod u)^(1/2) for a single point of the open orthant."""
-    n = u.size
-    return float(np.linalg.norm(u) ** (n / 2.0) / math.sqrt(np.prod(u)))
-
-
 def moment_strong(measure: ThorinMeasure) -> IntegralResult:
     """int (1 + ||u||^(1/2)) (||u||^n / prod u)^(1/2) dU over the open orthant."""
-    total = 0.0
-    err = 0.0
-    for c in measure.positive_part():
-        if isinstance(c, Atom):
-            nrm = float(np.linalg.norm(c.point))
-            total += c.mass * (1.0 + math.sqrt(nrm)) * _orthant_factor(c.point)
-        elif isinstance(c, Ray):
-            factor = _orthant_factor(c.direction)
-            scale = float(np.linalg.norm(c.direction))
 
-            def f(v):
-                return (1.0 + np.sqrt(v * scale)) * factor * c.density(v)
+    def g(points, t):
+        # the orthant factor is scale free, so only the first factor sees t
+        norms = np.linalg.norm(points, axis=-1)
+        factor = norms ** (measure.n / 2.0) / np.sqrt(np.prod(points, axis=-1))
+        return (1.0 + np.sqrt(t * norms)) * factor
 
-            res = improper_integral(f, lo=c.density.support_lo,
-                                    hi=c.density.support_hi,
-                                    open_lo=True, open_hi=True)
-            if not res.finite:
-                return IntegralResult(math.inf, math.inf, True, res.rounds)
-            total += res.value
-            err += res.error
-        else:
-            lo, hi = c.interval
-
-            def f(thetas):
-                pts = c.points(thetas)
-                norms = np.linalg.norm(pts, axis=-1)
-                prods = np.prod(pts, axis=-1)
-                return (1.0 + np.sqrt(norms)) * norms ** (measure.n / 2.0) / np.sqrt(prods)
-
-            res = improper_integral(f, lo=lo, hi=hi, open_lo=True, open_hi=True)
-            if not res.finite:
-                return IntegralResult(math.inf, math.inf, True, res.rounds)
-            total += res.value
-            err += res.error
-    return IntegralResult(total, err, False)
+    return integrate(measure.positive_part(), g)
 
 
 @dataclass
@@ -397,30 +377,19 @@ class RayMoment:
         return not self.result.finite
 
 
-def _positive_rays(measure: ThorinMeasure) -> list[tuple[np.ndarray, Atom | Ray]]:
-    """Positive-orthant components reinterpreted as rays (atoms allowed as
-    point masses on their own direction); curves are not ray-supported."""
-    rays: list[tuple[np.ndarray, Atom | Ray]] = []
-    for c in measure.positive_part():
-        if isinstance(c, Curve):
-            raise NotRaySupported("positive-orthant mass carried by a curve component")
-        if isinstance(c, Atom):
-            nrm = float(np.linalg.norm(c.point))
-            rays.append((c.point / nrm, c))
-        else:
-            rays.append((c.direction, c))
-    return rays
-
-
 def ray_half_moment(measure: ThorinMeasure, *, tail_only: bool = False) -> list[RayMoment]:
     """Per-ray int v^(1/2) dU_k (or the tail over (1, inf)); requires the
-    positive-orthant part to be ray-supported."""
+    positive-orthant part to be ray-supported (an atom is a point mass on its
+    own direction)."""
+    positive = measure.positive_part()
+    if any(isinstance(c, Curve) for c in positive):
+        raise NotRaySupported("positive-orthant mass carried by a curve component")
     out = []
-    for direction, comp in _positive_rays(measure):
+    for comp in positive:
         if isinstance(comp, Atom):
             v0 = float(np.linalg.norm(comp.point))
             val = comp.mass * math.sqrt(v0) if (not tail_only or v0 > 1.0) else 0.0
-            out.append(RayMoment(direction, IntegralResult(val, 0.0, False)))
+            out.append(RayMoment(comp.point / v0, IntegralResult(val, 0.0, False)))
             continue
         lo = comp.density.support_lo
         hi = comp.density.support_hi
@@ -432,7 +401,7 @@ def ray_half_moment(measure: ThorinMeasure, *, tail_only: bool = False) -> list[
 
         res = improper_integral(f, lo=lo, hi=hi,
                                 open_lo=(not tail_only) or lo > 1.0, open_hi=True)
-        out.append(RayMoment(direction, res))
+        out.append(RayMoment(comp.direction, res))
     return out
 
 
@@ -503,8 +472,3 @@ def params_from_json(obj: dict) -> WvggParams:
                       np.asarray(obj["mu"], dtype=float),
                       CovMatrix(np.asarray(obj["sigma"], dtype=float)),
                       measure_from_json(obj["U"]))
-
-
-def load_params(path: str) -> WvggParams:
-    with open(path) as fh:
-        return params_from_json(json.load(fh))

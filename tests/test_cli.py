@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from wvgg import cli
 from wvgg.bessel import kappa_bessel
 from wvgg.cli import main
+from wvgg.engine import ClassificationReport
 
 
 def write_config(tmp_path, name, obj):
@@ -42,6 +44,21 @@ class TestClassifyCommand:
         assert report["verdict"] == "SD"
         assert report["rule"] == "Thm3.1(iii)"
         assert report["seed"] == 7
+
+    @pytest.mark.parametrize("grids,r_points", [({}, 120), ({"r_count": 200}, 200),
+                                                ({"r_count": 30}, 30)])
+    def test_r_count_reaches_budget(self, tmp_path, monkeypatch, grids, r_points):
+        seen = []
+
+        def fake_classify(params, budget):
+            seen.append(budget)
+            return ClassificationReport("INCONCLUSIVE", "no-rule")
+
+        monkeypatch.setattr(cli, "classify", fake_classify)
+        cfg = write_config(tmp_path, "c.json", {"command": "classify",
+                                                "params": WVAG_FIXTURE, "grids": grids})
+        assert main(["--config", cfg, "--out", str(tmp_path / "run_")]) == 0
+        assert [b.r_points for b in seen] == [r_points]
 
     def test_command_line_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -123,6 +140,18 @@ class TestCounterexampleCommand:
         assert blob["b"] == pytest.approx(1.0)
         assert blob["g"] == pytest.approx(1.0)
         assert blob["verified_nonincreasing"] is True
+
+    def test_explicit_s_count_is_kept(self, tmp_path):
+        cfg = write_config(tmp_path, "x.json", {
+            "command": "counterexample",
+            "counterexample": {"n": 2, "c": 0.5, "alpha": [1.0, 1.0],
+                               "mu": [1.0, 0.0],
+                               "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+            "grids": {"r_count": 10, "s_count": 8},
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path / "x_")]) == 0
+        blob = json.loads((tmp_path / "x_counterexample.json").read_text())
+        assert blob["directions_scanned"] == 8
 
     def test_numeric_failure_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "x.json", {

@@ -240,6 +240,27 @@ class TestCharExponent:
         im, _ = quad(f, 0, np.inf, args=(1,), limit=400)
         assert psi == pytest.approx(-(re + 1j * im), rel=1e-8)
 
+    def test_curve_measure_matches_quadrature(self):
+        U = circle_measure("theta_squared")
+        p = WvggParams(np.zeros(2), np.array([1.0, 0.0]),
+                       CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]])), U)
+        th = np.array([1.2, -0.7])
+        psi = char_exponent(p, th)
+        curve = U.curves()[0]
+
+        def f(t, part):
+            u = curve.points(np.array([t]))[0]
+            z = (-1j * float((u * p.mu) @ th)
+                 + 0.5 * float(th @ (np.minimum.outer(u, u) * p.sigma.entries) @ th))
+            w = np.log(1.0 + z / float(u @ u))
+            return w.real if part == 0 else w.imag
+
+        # the coordinate ordering of the curve flips at theta^2 = pi / 4
+        kink = [math.sqrt(math.pi / 4.0)]
+        re, _ = quad(f, 0.0, 1.0, args=(0,), points=kink, epsabs=0, epsrel=1e-13, limit=400)
+        im, _ = quad(f, 0.0, 1.0, args=(1,), points=kink, epsabs=0, epsrel=1e-13, limit=400)
+        assert psi == pytest.approx(-(re + 1j * im), rel=1e-7)
+
 
 class TestVgLevyDensity:
     def test_symmetry_driftless(self):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wvgg.geometry import (QuantityContext, a_quantity, ade_quantities,
-                           d_quantity, e_quantity, extremal_scan, u_from_ratios,
-                           usp_infimum, v_plus_member)
+                           d_quantity, e_quantity, extremal_scan, quantities,
+                           u_from_ratios, usp_infimum, v_plus_member)
 from wvgg.linalg import CovMatrix, DimensionError, delta_matrix, random_spd
 
 
@@ -69,6 +69,41 @@ class TestQuantities:
             m_p = np.minimum.outer(u[perm], u[perm]) * sig_p
             rhs = float(x[perm] @ np.linalg.solve(m_p, y[perm]))
             assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kernel_matches_per_point_solve(self, n):
+        rng = np.random.default_rng(10 + n)
+        sigma = random_spd(rng, n, min_det=1e-3).entries
+        mu, x = rng.normal(size=n), rng.normal(size=n)
+        us = rng.uniform(0.01, 5.0, (50, n))
+        qq = quantities(mu, sigma, x, us)
+        for k, u in enumerate(us):
+            m = np.minimum.outer(u, u) * sigma
+            q = float(x @ np.linalg.solve(m, x))
+            e = float(x @ np.linalg.solve(m, u * mu))
+            mm = float((u * mu) @ np.linalg.solve(m, u * mu))
+            logd = (n / 2.0) * math.log(q) + 0.5 * math.log(np.linalg.det(m))
+            assert qq.q[k] == pytest.approx(q, rel=1e-12)
+            assert qq.e[k] == pytest.approx(e, rel=1e-12, abs=1e-12 * math.sqrt(q * mm))
+            assert qq.m[k] == pytest.approx(mm, rel=1e-12)
+            assert qq.logd[k] == pytest.approx(logd, rel=1e-12, abs=1e-12)
+            assert qq.uu[k] == pytest.approx(float(u @ u), rel=1e-12)
+            assert qq.a()[k] == pytest.approx(math.sqrt((2.0 * float(u @ u) + mm) * q),
+                                              rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scale_law(self, n):
+        # E and D are scale free; A(x, t u) = sqrt((2 t ||u||^2 + m) q)
+        rng = np.random.default_rng(20 + n)
+        sigma = random_spd(rng, n, min_det=1e-3).entries
+        mu, x = rng.normal(size=n), rng.normal(size=n)
+        u = rng.uniform(0.05, 5.0, (1, n))
+        base = quantities(mu, sigma, x, u)
+        for t in np.geomspace(1e-6, 1e6, 13):
+            scaled = quantities(mu, sigma, x, t * u)
+            assert scaled.e[0] == pytest.approx(base.e[0], rel=1e-12, abs=1e-12)
+            assert scaled.logd[0] == pytest.approx(base.logd[0], rel=1e-12, abs=1e-12)
+            assert scaled.a()[0] == pytest.approx(base.a(t)[0], rel=1e-12)
 
     def test_d_requires_nonzero(self, identity_ctx):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from wvgg.measures import (Atom, Curve, NotRaySupported, Ray, RayDensity,
                            ThorinMeasure, alpha_gamma_measure, beta2_measure,
-                           circle_measure, make_ray_density, measure_from_json,
+                           circle_measure, integrate, integrate_component,
+                           make_ray_density, measure_from_json,
                            measure_to_json, moment_strong, ray_half_moment,
                            register_ray_density, sdcex_measure, validate,
                            WvggParams)
@@ -55,6 +56,50 @@ class TestValidity:
         ]
         for m in fixtures:
             assert validate(m).valid
+
+
+class TestIntegrate:
+    @staticmethod
+    def one(points, t):
+        return np.ones(points.shape[0])
+
+    def test_atoms_exact_sum(self):
+        atoms = [Atom(0.7, np.array([0.5, 2.0])), Atom(1.3, np.array([3.0, 0.0]))]
+
+        def g(points, t):
+            return np.linalg.norm(t * points, axis=-1)
+
+        res = integrate(atoms, g)
+        assert res.value == 0.7 * math.hypot(0.5, 2.0) + 1.3 * 3.0
+        assert res.finite and res.error == 0.0
+
+    def test_beta2_ray_unit_mass(self):
+        ray = Ray(np.array([1.0, 2.0]), make_ray_density("beta2", {"a": 1.5, "b": 2.0}))
+        assert integrate_component(ray, self.one).value == pytest.approx(1.0, rel=1e-9)
+
+    def test_ray_evaluates_its_direction_at_t_v(self):
+        # beta2(1, 2) has mean a / (b - 1) = 1, so int ||v alpha|| dU = ||alpha||
+        alpha = np.array([1.0, 2.0])
+        ray = Ray(alpha, make_ray_density("beta2", {"a": 1.0, "b": 2.0}))
+        seen = []
+
+        def g(points, t):
+            seen.append(points.shape[0])
+            return t * np.linalg.norm(points, axis=-1)
+
+        res = integrate_component(ray, g)
+        assert set(seen) == {1}
+        assert res.value == pytest.approx(math.hypot(1.0, 2.0), rel=1e-9)
+
+    def test_curve_interval_length(self):
+        curve = Curve("circle_theta", (0.2, 1.1))
+        assert integrate_component(curve, self.one).value == pytest.approx(0.9, rel=1e-12)
+
+    def test_stops_at_first_divergent_component(self):
+        ray = Ray(np.array([1.0, 1.0]), make_ray_density("lebesgue", {}))
+        res = integrate([Atom(1.0, np.array([1.0, 1.0])), ray,
+                         Curve("circle_theta", (0.0, 1.0))], self.one)
+        assert not res.finite
 
 
 class TestAlphaGamma:

@@ -3,8 +3,8 @@ gamma convolution Levy processes: diamond-product matrix algebra, the scaled
 Bessel kernel, polar Levy densities, Thorin-measure moment functionals and the
 decision ladder that ties them together."""
 
-from .bessel import (BesselEval, bessel_derivative_check, bessel_tail,
-                     kappa_bessel, kappa_bessel_eval, kappa_bessel_sup)
+from .bessel import (bessel_derivative_check, bessel_tail, kappa_bessel,
+                     kappa_bessel_sup)
 from .density import (DensityCurve, char_exponent, density_curve, h_density,
                       h_derivative, h_derivative_at_zero, monotonicity_scan,
                       vg_levy_density, write_density_csv)

@@ -129,7 +129,7 @@ def _directions(cfg: RunConfig, n: int) -> list[np.ndarray]:
 
 def _dump_json(obj: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -43,7 +43,6 @@ BESSEL_CUT = 80.0
 _GRADE_DECADES = 10
 _PANELS_PER_DECADE = 4
 _GL_ORDER = 10
-_KAPPA_H = 0.125   # kernel-grid step inside component quadratures
 
 
 class NotApplicableError(Exception):
@@ -183,11 +182,11 @@ def _ray_vgrid(qq: Quantities, density: RayDensity, r: float):
 def _kernel_sum(n: int, r: float, w: np.ndarray, e: np.ndarray, a: np.ndarray,
                 logd: np.ndarray, derivative: bool) -> float:
     """sum w exp(r E - ln D) kappa_{n/2}(r A), or its derivative in r."""
-    logk = kappa_log_grid(n / 2.0, r * a, h=_KAPPA_H)
+    logk = kappa_log_grid(n / 2.0, r * a)
     base = np.exp(r * e - logd + logk)
     if not derivative:
         return float(np.sum(w * base))
-    logk2 = kappa_log_grid((n - 2) / 2.0, r * a, h=_KAPPA_H)
+    logk2 = kappa_log_grid((n - 2) / 2.0, r * a)
     base2 = np.exp(r * e - logd + logk2)
     return float(np.sum(w * (e * base - r * a ** 2 * base2)))
 

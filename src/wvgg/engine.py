@@ -154,6 +154,14 @@ class Budget:
     positive_fraction: float = 0.05
 
 
+def _json_number(x):
+    """x itself when finite; strict JSON has no token for inf or nan, so +inf
+    is written "Divergent" and the others as their str."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "Divergent" if x > 0 else str(x)
+    return x
+
+
 @dataclass
 class Evidence:
     """One named numeric fact; tol records the fact's tolerance (0.0 when the
@@ -164,10 +172,8 @@ class Evidence:
     note: str = ""
 
     def to_json(self) -> dict:
-        val = self.value
-        if isinstance(val, float) and not math.isfinite(val):
-            val = "Divergent" if val > 0 else str(val)
-        out = {"name": self.name, "value": val, "tol": self.tol}
+        out = {"name": self.name, "value": _json_number(self.value),
+               "tol": _json_number(self.tol)}
         if self.note:
             out["note"] = self.note
         return out
@@ -189,7 +195,7 @@ class ClassificationReport:
                 "seed": self.seed, "tags": sorted(self.tags)}
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
+        return json.dumps(self.to_json(), sort_keys=True, indent=2, allow_nan=False)
 
 
 class BudgetExhausted(Exception):

@@ -67,7 +67,9 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
     """Composite Gauss-Legendre quadrature of a vectorised integrand.
 
     Returns ``(value, error_estimate)``; the estimate is the difference from
-    the embedded half-order rule.
+    the embedded half-order rule.  Infinite integrand values are clipped to
+    +-1e300, so a blow-up reads as a huge partial value to the divergence
+    detector; a NaN raises ArithmeticError.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -78,7 +80,9 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
         x, w = _leggauss(n)
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         vals = np.asarray(f(nodes), dtype=float).reshape(len(a), n)
-        vals = np.nan_to_num(vals, nan=0.0, posinf=1e300, neginf=-1e300)
+        if np.isnan(vals).any():
+            raise ArithmeticError("integrand is NaN at a quadrature node")
+        vals = np.nan_to_num(vals, posinf=1e300, neginf=-1e300)
         return float(np.sum((vals * w[None, :]).sum(axis=1) * half))
 
     value = run(order)

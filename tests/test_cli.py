@@ -33,8 +33,37 @@ WVAG_FIXTURE = {
     ]},
 }
 
+README_PARAMS = {
+    "d": [0, 0], "mu": [1.0, 0.0],
+    "sigma": [[1.0, 0.5], [0.5, 1.0]],
+    "U": {"n": 2, "components": [
+        {"kind": "atom", "mass": 0.5, "point": [0.5, 0.5]},
+        {"kind": "ray", "direction": [1.0, 1.0],
+         "density": {"name": "beta2", "a": 1.0, "b": 2.0}},
+        {"kind": "curve", "curve": "circle_theta2", "interval": [0, 1]},
+    ]},
+}
+
 
 class TestClassifyCommand:
+    def test_readme_report_is_strict_json(self, tmp_path):
+        # the README example, with 8 cone samples instead of 64 to keep it
+        # quick; its first evidence, the divergent strong moment, has an
+        # infinite value and an infinite tolerance
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "classify", "params": README_PARAMS, "seed": 7,
+            "grids": {"r_min": 1e-4, "r_max": 50.0, "r_count": 200, "s_count": 8},
+            "tolerances": {"s_samples": 8}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "run_")]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((tmp_path / "run_report.json").read_text(),
+                            parse_constant=reject)
+        assert report["evidence"][0] == {"name": "moment_strong",
+                                         "value": "Divergent", "tol": "Divergent"}
+
     def test_driftless_alpha_gamma_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json",
                            {"command": "classify", "params": WVAG_FIXTURE, "seed": 7})

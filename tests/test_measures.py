@@ -13,7 +13,7 @@ from wvgg.measures import (Atom, Curve, NotRaySupported, Ray, RayDensity,
                            register_ray_density, sdcex_measure, validate,
                            WvggParams)
 from wvgg.linalg import CovMatrix
-from wvgg.quadrature import improper_integral
+from wvgg.quadrature import gauss_panels, improper_integral
 
 
 def beta2_half_moment(a, b):
@@ -247,6 +247,21 @@ class TestDivergenceCalibration:
 
         res = improper_integral(f, lo=0.0, hi=1.0)
         assert res.finite == finite
+
+    def test_nan_integrand_raises(self):
+        def f(v):
+            return np.where(v < 0.5, np.nan, 1.0)
+
+        with pytest.raises(ArithmeticError):
+            gauss_panels(f, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ArithmeticError):
+            improper_integral(f, lo=0.0, hi=1.0)
+
+    def test_infinite_integrand_reads_divergent(self):
+        # infinities are clipped to 1e300, not dropped, so the detector sees them
+        value, _ = gauss_panels(lambda v: np.full_like(v, np.inf), np.linspace(0.0, 1.0, 5))
+        assert value > 1e299
+        assert improper_integral(lambda v: np.full_like(v, np.inf), lo=0.0, hi=1.0).divergent
 
 
 class TestJsonAndRegistry:

@@ -145,7 +145,7 @@ def bessel_tail(nu: float, r: float) -> float:
     """int_r^inf kappa_nu(v) dv, relative accuracy well below 1e-8."""
     if r <= 0.0:
         raise ValueError("lower limit must be positive")
-    value, _ = gauss_panels(lambda v: kappa_grid(nu, v), _tail_edges(nu, r), order=24)
+    value, _ = gauss_panels(lambda v: kappa_grid(nu, v), _tail_edges(nu, r))
     return value
 
 

@@ -161,7 +161,7 @@ def _ray_vgrid(qq: Quantities, density: RayDensity, r: float):
     v_cut = min(v_cut, density.support_hi)
     if v_cut <= lo:
         return None
-    q = 1.0 + min(getattr(density, "pole_at_0", 0.0), 0.0)
+    q = 1.0 + min(density.pole_at_0, 0.0)
     y_hi = (v_cut - lo) ** q
     # low end anchored absolutely (not to the r-dependent cutoff), so the
     # truncated tail mass cannot drift with r and pollute finite differences
@@ -180,26 +180,30 @@ def _ray_vgrid(qq: Quantities, density: RayDensity, r: float):
 
 
 def _kernel_sum(n: int, r: float, w: np.ndarray, e: np.ndarray, a: np.ndarray,
-                logd: np.ndarray, derivative: bool) -> float:
-    """sum w exp(r E - ln D) kappa_{n/2}(r A), or its derivative in r."""
+                logd: np.ndarray, derivative: bool) -> tuple[float, float]:
+    """sum w exp(r E - ln D) kappa_{n/2}(r A) and, with ``derivative``, its
+    derivative in r (0.0 without)."""
     logk = kappa_log_grid(n / 2.0, r * a)
     base = np.exp(r * e - logd + logk)
+    h = float(np.sum(w * base))
     if not derivative:
-        return float(np.sum(w * base))
+        return h, 0.0
     logk2 = kappa_log_grid((n - 2) / 2.0, r * a)
     base2 = np.exp(r * e - logd + logk2)
-    return float(np.sum(w * (e * base - r * a ** 2 * base2)))
+    return h, float(np.sum(w * (e * base - r * a ** 2 * base2)))
 
 
 def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:
-    """h_s or its radial derivative at each radius of rs, from the component
-    sums in exp-assembled form."""
+    """Rows h_s and, with ``derivative``, its radial derivative (zeros
+    without) at each radius of rs, from the component sums in exp-assembled
+    form."""
     n = geom.params.n
     nodes = geom.nodes
-    out = np.empty(len(rs))
+    out = np.empty((2, len(rs)))
     for i, r in enumerate(rs):
         r = float(r)
-        total = _kernel_sum(n, r, geom.weights, nodes.e, geom.a, nodes.logd, derivative)
+        total = np.array(_kernel_sum(n, r, geom.weights, nodes.e, geom.a, nodes.logd,
+                                     derivative))
         for qq, density in geom.rays:
             grid = _ray_vgrid(qq, density, r)
             if grid is None:
@@ -207,9 +211,9 @@ def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:
             v, wts = grid
             total += _kernel_sum(n, r, wts * density(v), qq.e, qq.a(v), qq.logd,
                                  derivative)
-        if not math.isfinite(total):
+        if not np.all(np.isfinite(total)):
             raise ArithmeticError("component integral overflowed; parameters too extreme")
-        out[i] = c_n(n) * total
+        out[:, i] = c_n(n) * total
     return out
 
 
@@ -217,18 +221,18 @@ def h_density(params: WvggParams, s, r: float) -> float:
     """Polar density h_s(r); nonnegative, n >= 2."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    return float(_h_terms(_DirectionGeometry(params, s), [r], derivative=False)[0])
+    return float(_h_terms(_DirectionGeometry(params, s), [r], derivative=False)[0, 0])
 
 
 def h_derivative(params: WvggParams, s, r: float) -> float:
     """Radial derivative of h_s at r, computed under the integral."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    return float(_h_terms(_DirectionGeometry(params, s), [r], derivative=True)[0])
+    return float(_h_terms(_DirectionGeometry(params, s), [r], derivative=True)[1, 0])
 
 
 def h_many(params: WvggParams, s, rs: np.ndarray, *, derivative: bool = False) -> np.ndarray:
-    return _h_terms(_DirectionGeometry(params, s), rs, derivative=derivative)
+    return _h_terms(_DirectionGeometry(params, s), rs, derivative=derivative)[int(derivative)]
 
 
 # -- moment integrals against the measure -------------------------------------
@@ -300,10 +304,8 @@ def char_exponent(params: WvggParams, theta) -> complex:
     dmu = params.d * mu
     dsig = diamond_mat_raw(params.d, sigma)
     val = 1j * float(dmu @ th) - 0.5 * float(th @ dsig @ th)
-    what = "characteristic-exponent integral"
-    re = integrate(params.U.components, lambda p, t: np.log(np.abs(log_arg(p, t))))
-    im = integrate(params.U.components, lambda p, t: np.angle(log_arg(p, t)))
-    return complex(val - re.require_finite(what) - 1j * im.require_finite(what))
+    res = integrate(params.U.components, lambda p, t: np.log(log_arg(p, t)))
+    return complex(val - res.require_finite("characteristic-exponent integral"))
 
 
 def vg_char_exponent_closed_form(b: float, sigma: CovMatrix, theta) -> complex:
@@ -353,8 +355,7 @@ def default_r_grid(r_min: float = 1e-4, r_max: float = 50.0, count: int = 200) -
 def density_curve(params: WvggParams, s, r_grid=None) -> DensityCurve:
     rs = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     geom = _DirectionGeometry(params, s)
-    values = _h_terms(geom, rs, derivative=False)
-    deriv = _h_terms(geom, rs, derivative=True)
+    values, deriv = _h_terms(geom, rs, derivative=True)
     err = np.abs(values) * 1e-7
     return DensityCurve(as_vector(s, params.n), rs, values, deriv, err)
 

@@ -15,10 +15,19 @@
     sampled directions                           -> NOT_SD (numeric evidence)
 10. otherwise                                    -> INCONCLUSIVE
 
+``_ladder``, a generator, walks these rules in order, appends each rule's
+evidence as it goes and yields (verdict, rule) for each rule that fires.
+Rules 5-9 need the hypotheses of Thm 3.2: n >= 2, mu != 0, invertible Sigma
+and orthant mass.  ``classify`` reports the first rule that fires; with
+``audit`` it runs every rule, raises when SD and NOT_SD rules both fire, and
+adds an ``audit_rules_fired`` entry.  Once ``time_limit_s`` has passed, the
+report is INCONCLUSIVE/``budget-exhausted`` with the evidence so far.
+
 Rules 8-9 rest on quadrature and sampling rather than exactly checkable
-hypotheses and are flagged ``numeric_only``.  Rule tokens cite the corollary
-specialisation when the subclass pattern matches (weak variance alpha-gamma /
-matrix-gamma, univariate-subordinator classes), the general clause otherwise.
+hypotheses; their tokens end in ``-numeric`` and set ``numeric_only``.  Rule
+tokens cite the corollary specialisation when the subclass pattern matches
+(weak variance alpha-gamma / matrix-gamma, univariate-subordinator classes),
+the general clause otherwise.
 
 ``build_sd_counterexample`` constructs, for any nonzero drift, an explicitly
 self-decomposable parameter set: a truncated power-law ray whose rate/shape
@@ -144,6 +153,10 @@ def identify_subclass(params: WvggParams) -> SubclassTag:
 
 # -- classification ------------------------------------------------------------
 
+# share of checked directions on which a numeric clause must hold (rules 8-9)
+POSITIVE_FRACTION = 0.05
+
+
 @dataclass
 class Budget:
     s_samples: int = 64
@@ -151,7 +164,6 @@ class Budget:
     scan_directions: int = 16
     seed: int = 0
     time_limit_s: float | None = None
-    positive_fraction: float = 0.05
 
 
 def _json_number(x):
@@ -199,9 +211,7 @@ class ClassificationReport:
 
 
 class BudgetExhausted(Exception):
-    def __init__(self, partial: "ClassificationReport"):
-        super().__init__("classification budget exhausted")
-        self.partial = partial
+    """Raised inside the ladder once ``Budget.time_limit_s`` has passed."""
 
 
 def _sample_sphere_directions(params: WvggParams, budget: Budget) -> list[np.ndarray]:
@@ -227,196 +237,157 @@ def _sample_sphere_directions(params: WvggParams, budget: Budget) -> list[np.nda
     return out
 
 
-def _deadline_check(t0: float, budget: Budget, make_partial):
-    if budget.time_limit_s is not None and time.perf_counter() - t0 > budget.time_limit_s:
-        raise BudgetExhausted(make_partial())
-
-
 def classify(params: WvggParams, budget: Budget | None = None,
              *, audit: bool = False) -> ClassificationReport:
-    """Run the decision ladder; ``audit`` evaluates every applicable rule
-    instead of stopping at the first hit and asserts verdict consistency.
-    Budget exhaustion yields INCONCLUSIVE with the evidence gathered so far."""
-    try:
-        return _classify(params, budget or Budget(), audit)
-    except BudgetExhausted as exc:
-        report = exc.partial
-        return report
-
-
-def _classify(params: WvggParams, budget: Budget,
-              audit: bool) -> ClassificationReport:
+    """Run the decision ladder (module docstring); ``audit`` runs every rule
+    and raises AssertionError when their verdicts contradict each other."""
+    budget = budget or Budget()
     t0 = time.perf_counter()
+
+    def deadline():
+        if budget.time_limit_s is not None and time.perf_counter() - t0 > budget.time_limit_s:
+            raise BudgetExhausted
+
     tag = identify_subclass(params)
     evidence: list[Evidence] = []
     fired: list[tuple[str, str]] = []
+    try:
+        for hit in _ladder(params, budget, tag, evidence, deadline):
+            fired.append(hit)
+            if not audit:
+                break
+        if {"SD", "NOT_SD"} <= {v for v, _ in fired}:
+            raise AssertionError(f"ladder inconsistency: {fired}")
+        if audit and fired:
+            evidence.append(Evidence("audit_rules_fired", float(len(fired)),
+                                     note=";".join(r for _, r in fired)))
+        verdict, rule = fired[0] if fired else ("INCONCLUSIVE", "no-rule")
+        numeric_only = rule.endswith("-numeric")
+    except BudgetExhausted:
+        evidence.append(Evidence("budget_exhausted", 1.0, note="partial evidence only"))
+        verdict, rule, numeric_only = "INCONCLUSIVE", "budget-exhausted", True
+    return ClassificationReport(verdict, rule, evidence, numeric_only,
+                                budget.seed, sorted(tag.tags))
 
-    def report(verdict: str, rule: str, numeric_only: bool = False) -> ClassificationReport:
-        return ClassificationReport(verdict, rule, evidence, numeric_only,
-                                    budget.seed, sorted(tag.tags))
 
-    def register(verdict: str, rule: str):
-        fired.append((verdict, rule))
+def _enough(hits: int, checked: int) -> bool:
+    return hits >= max(1, math.ceil(POSITIVE_FRACTION * checked))
 
-    def partial_report() -> ClassificationReport:
-        ev = list(evidence)
-        ev.append(Evidence("budget_exhausted", 1.0, note="partial evidence only"))
-        return ClassificationReport("INCONCLUSIVE", "budget-exhausted", ev, True,
-                                    budget.seed, sorted(tag.tags))
 
+def _ladder(params: WvggParams, budget: Budget, tag: SubclassTag,
+            evidence: list[Evidence], deadline):
+    """Yield (verdict, rule) for each rule that fires, in ladder order,
+    appending every rule's evidence as it goes; ``deadline()`` raises
+    BudgetExhausted once the time limit has passed."""
     n = params.n
     mu_zero = not np.any(params.mu)
+    invertible = params.sigma.invertible
 
     # 1-2: sufficient conditions
     if n == 1:
-        if not audit:
-            return report("SD", "Thm3.1(n=1)")
-        register("SD", "Thm3.1(n=1)")
+        yield "SD", "Thm3.1(n=1)"
     if mu_zero:
         evidence.append(Evidence("mu_norm", 0.0, note="driftless subordinate"))
-        if not audit:
-            return report("SD", "Thm3.1(iii)")
-        register("SD", "Thm3.1(iii)")
+        yield "SD", "Thm3.1(iii)"
 
     # 3: invertibility hypothesis
-    if not params.sigma.invertible:
+    if not invertible:
         evidence.append(Evidence("sigma_det", params.sigma.det, tol=1e-12))
-        if not audit:
-            return report("INCONCLUSIVE", "Thm3.2-hypothesis(|Sigma|=0)")
-        register("INCONCLUSIVE", "Thm3.2-hypothesis(|Sigma|=0)")
+        yield "INCONCLUSIVE", "Thm3.2-hypothesis(|Sigma|=0)"
 
     positive = params.U.positive_part()
     # 4: need orthant mass
-    if not mu_zero and params.sigma.invertible and not positive:
+    if not mu_zero and invertible and not positive:
         evidence.append(Evidence("orthant_mass", 0.0,
                                  note="no Thorin mass in the open orthant"))
-        if not audit:
-            return report("INCONCLUSIVE", "Thm3.2(vii)-no-positive-mass")
-        register("INCONCLUSIVE", "Thm3.2(vii)-no-positive-mass")
+        yield "INCONCLUSIVE", "Thm3.2(vii)-no-positive-mass"
 
-    applicable = (not mu_zero) and params.sigma.invertible and bool(positive) and n >= 2
+    # the necessary conditions of Thm 3.2 assume n >= 2, mu != 0, an
+    # invertible Sigma and orthant mass
+    if mu_zero or not invertible or not positive or n < 2:
+        evidence.append(Evidence("cone_samples_accepted", 0.0, note="of 0 sphere samples"))
+        return
 
     # 5: finitely supported
-    if applicable and len(params.U.atoms()) == len(params.U.components):
-        rule = ("Cor3.5(ii)" if "WVAG" in tag else
-                "Cor3.6(ii)" if "WVMG" in tag else "Thm3.2(vii)")
+    if len(params.U.atoms()) == len(params.U.components):
         evidence.append(Evidence("orthant_atoms", float(len(positive))))
-        if not audit:
-            return report("NOT_SD", rule)
-        register("NOT_SD", rule)
+        yield "NOT_SD", ("Cor3.5(ii)" if "WVAG" in tag else
+                         "Cor3.6(ii)" if "WVMG" in tag else "Thm3.2(vii)")
 
     # 6: ray-supported half moments
-    if applicable:
-        try:
-            moments = ray_half_moment(params.U)
-        except NotRaySupported:
-            moments = None
-        if moments is not None and moments:
-            vals = [m.result for m in moments]
-            for i, r in enumerate(vals):
-                evidence.append(Evidence(
-                    f"ray_half_moment[{i}]",
-                    math.inf if not r.finite else r.value, tol=r.error))
-            if all(r.finite and r.value > 0 for r in vals):
-                rule = "Cor3.3(ii)" if "VGG_n1" in tag else "Thm3.2(vi)"
-                if not audit:
-                    return report("NOT_SD", rule)
-                register("NOT_SD", rule)
-    _deadline_check(t0, budget, partial_report)
+    try:
+        moments = [m.result for m in ray_half_moment(params.U)]
+    except NotRaySupported:
+        moments = []
+    for i, r in enumerate(moments):
+        evidence.append(Evidence(f"ray_half_moment[{i}]",
+                                 r.value if r.finite else math.inf, tol=r.error))
+    if moments and all(r.finite and r.value > 0 for r in moments):
+        yield "NOT_SD", "Cor3.3(ii)" if "VGG_n1" in tag else "Thm3.2(vi)"
+    deadline()
 
     # 7: strong moment functional
-    if applicable:
-        strong = moment_strong(params.U)
-        evidence.append(Evidence("moment_strong",
-                                 math.inf if not strong.finite else strong.value,
-                                 tol=strong.error))
-        if strong.finite and strong.value > 0:
-            rule = "Cor3.4(ii)" if ("VGG_nn" in tag and "VGG_n1" not in tag) else "Thm3.2(v)"
-            if not audit:
-                return report("NOT_SD", rule)
-            register("NOT_SD", rule)
-    _deadline_check(t0, budget, partial_report)
+    strong = moment_strong(params.U)
+    evidence.append(Evidence("moment_strong",
+                             strong.value if strong.finite else math.inf,
+                             tol=strong.error))
+    if strong.finite and strong.value > 0:
+        yield "NOT_SD", ("Cor3.4(ii)" if ("VGG_nn" in tag and "VGG_n1" not in tag)
+                         else "Thm3.2(v)")
+    deadline()
 
-    # 8-9: numeric clauses on sampled directions
-    samples = _sample_sphere_directions(params, budget) if applicable else []
+    # 8: sampled cone directions with finite A/D and positive E/D integrals
+    samples = _sample_sphere_directions(params, budget)
     accepted: list[np.ndarray] = []
-    if applicable and n <= 4:
+    if n <= 4:
         ctx = QuantityContext(params.mu, params.sigma)
         for s in samples:
-            member = v_plus_member(ctx, s)
-            if member.member is True:
+            if v_plus_member(ctx, s).member is True:
                 accepted.append(s)
-            _deadline_check(t0, budget, partial_report)
+            deadline()
     evidence.append(Evidence("cone_samples_accepted", float(len(accepted)),
                              note=f"of {len(samples)} sphere samples"))
-
-    if applicable and accepted:
-        passes = 0
-        min_e = math.inf
+    if accepted:
+        positive_e = []
         for s in accepted:
-            a_res = a_over_d_integral(params.U, params.mu, params.sigma, s)
-            if not a_res.finite:
-                continue
-            e_res = e_over_d_integral(params.U, params.mu, params.sigma, s)
-            if e_res.finite and e_res.value > 1e-12:
-                passes += 1
-                min_e = min(min_e, e_res.value)
-            _deadline_check(t0, budget, partial_report)
+            if a_over_d_integral(params.U, params.mu, params.sigma, s).finite:
+                e_res = e_over_d_integral(params.U, params.mu, params.sigma, s)
+                if e_res.finite and e_res.value > 1e-12:
+                    positive_e.append(e_res.value)
+            deadline()
         evidence.append(Evidence("rule8_pass_fraction",
-                                 passes / max(len(accepted), 1),
-                                 tol=budget.positive_fraction))
-        if math.isfinite(min_e):
-            evidence.append(Evidence("min_mean_positivity", min_e, tol=1e-12))
-        if passes >= max(1, math.ceil(budget.positive_fraction * len(accepted))):
-            if not audit:
-                return report("NOT_SD", "Thm3.2(iv)-numeric", numeric_only=True)
-            register("NOT_SD", "Thm3.2(iv)-numeric")
-    _deadline_check(t0, budget, partial_report)
+                                 len(positive_e) / len(accepted), tol=POSITIVE_FRACTION))
+        if positive_e:
+            evidence.append(Evidence("min_mean_positivity", min(positive_e), tol=1e-12))
+        if _enough(len(positive_e), len(accepted)):
+            yield "NOT_SD", "Thm3.2(iv)-numeric"
+    deadline()
 
-    if applicable and samples:
-        h0_positive = 0
-        h0_checked = 0
-        for s in samples[:budget.scan_directions]:
-            res = h_derivative_at_zero(params, s)
-            if res.applicable:
-                h0_checked += 1
-                if res.value is not None and res.value > 1e-12:
-                    h0_positive += 1
-            _deadline_check(t0, budget, partial_report)
-        if h0_checked:
-            evidence.append(Evidence("h0_positive_fraction", h0_positive / h0_checked,
-                                     tol=budget.positive_fraction))
-        if h0_checked and h0_positive >= max(1, math.ceil(
-                budget.positive_fraction * h0_checked)):
-            if not audit:
-                return report("NOT_SD", "Thm3.2(iii)-numeric", numeric_only=True)
-            register("NOT_SD", "Thm3.2(iii)-numeric")
+    # 9: positive derivative at 0, or a strict radial increase
+    scanned = samples[:budget.scan_directions]
+    if not scanned:
+        return
+    h0_positive = []
+    for s in scanned:
+        res = h_derivative_at_zero(params, s)
+        if res.applicable:
+            h0_positive.append(res.value > 1e-12)
+        deadline()
+    if h0_positive:
+        evidence.append(Evidence("h0_positive_fraction",
+                                 sum(h0_positive) / len(h0_positive), tol=POSITIVE_FRACTION))
+        if _enough(sum(h0_positive), len(h0_positive)):
+            yield "NOT_SD", "Thm3.2(iii)-numeric"
 
-        scan = monotonicity_scan(params, samples[:budget.scan_directions],
-                                 default_r_grid(count=budget.r_points))
-        increases = [v for v in scan if not v.nonincreasing]
-        evidence.append(Evidence("strict_increase_fraction",
-                                 len(increases) / len(scan),
-                                 tol=budget.positive_fraction))
-        if increases:
-            evidence.append(Evidence("r0_witness", increases[0].r0, tol=1e-6,
-                                     note="first strict radial increase"))
-        if len(increases) >= max(1, math.ceil(budget.positive_fraction * len(scan))):
-            if not audit:
-                return report("NOT_SD", "Thm3.2(ii)-numeric", numeric_only=True)
-            register("NOT_SD", "Thm3.2(ii)-numeric")
-
-    if audit:
-        verdicts = {v for v, _ in fired}
-        if "SD" in verdicts and "NOT_SD" in verdicts:
-            raise AssertionError(f"ladder inconsistency: {fired}")
-        if fired:
-            v, r = fired[0]
-            rep = report(v, r, numeric_only=r.endswith("-numeric"))
-            rep.evidence.append(Evidence("audit_rules_fired", float(len(fired)),
-                                         note=";".join(r for _, r in fired)))
-            return rep
-    return report("INCONCLUSIVE", "no-rule")
+    scan = monotonicity_scan(params, scanned, default_r_grid(count=budget.r_points))
+    increases = [v for v in scan if not v.nonincreasing]
+    evidence.append(Evidence("strict_increase_fraction", len(increases) / len(scan),
+                             tol=POSITIVE_FRACTION))
+    if increases:
+        evidence.append(Evidence("r0_witness", increases[0].r0, tol=1e-6,
+                                 note="first strict radial increase"))
+    if _enough(len(increases), len(scan)):
+        yield "NOT_SD", "Thm3.2(ii)-numeric"
 
 
 # -- equivalent conditions for the A/D integrability ---------------------------

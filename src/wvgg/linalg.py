@@ -69,16 +69,6 @@ class CovMatrix:
         self.det = float(np.linalg.det(a))
         self.invertible = abs(self.det) > det_tol
 
-    @classmethod
-    def from_product(cls, a, ridge: float = 0.0) -> "CovMatrix":
-        """Build A A' (+ ridge * I), exactly symmetrised."""
-        a = np.asarray(a, dtype=float)
-        m = a @ a.T
-        m = 0.5 * (m + m.T)
-        if ridge:
-            m = m + ridge * np.eye(m.shape[0])
-        return cls(m)
-
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
 

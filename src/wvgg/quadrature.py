@@ -21,6 +21,7 @@ Two workhorses live here:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,6 +32,7 @@ import numpy as np
 CLIP = 1e12
 GROWTH_TOL = 0.05
 ROUNDS = 12
+ORDER = 24
 _SHRINK = 10.0
 _GROW = 10.0
 
@@ -41,16 +43,16 @@ class DivergentIntegral(Exception):
 
 @dataclass
 class IntegralResult:
-    value: float
+    value: float | complex
     error: float
     divergent: bool
     rounds: int = 0
 
     @property
     def finite(self) -> bool:
-        return (not self.divergent) and math.isfinite(self.value)
+        return (not self.divergent) and cmath.isfinite(self.value)
 
-    def require_finite(self, what: str = "integral") -> float:
+    def require_finite(self, what: str = "integral") -> float | complex:
         if not self.finite:
             raise DivergentIntegral(f"{what} diverges (last partial {self.value:.6g})")
         return self.value
@@ -62,14 +64,15 @@ def _leggauss(order: int):
     return x, w
 
 
-def gauss_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
-                 order: int = 24) -> tuple[float, float]:
-    """Composite Gauss-Legendre quadrature of a vectorised integrand.
+def gauss_panels(f: Callable[[np.ndarray], np.ndarray],
+                 edges: np.ndarray) -> tuple[float | complex, float]:
+    """Composite Gauss-Legendre quadrature of a vectorised integrand, real
+    or complex, of ``ORDER`` nodes per panel.
 
     Returns ``(value, error_estimate)``; the estimate is the difference from
-    the embedded half-order rule.  Infinite integrand values are clipped to
-    +-1e300, so a blow-up reads as a huge partial value to the divergence
-    detector; a NaN raises ArithmeticError.
+    the embedded half-order rule.  Infinite integrand values (or parts) are
+    clipped to +-1e300, so a blow-up reads as a huge partial value to the
+    divergence detector; a NaN raises ArithmeticError.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -79,14 +82,14 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
     def run(n):
         x, w = _leggauss(n)
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        vals = np.asarray(f(nodes), dtype=float).reshape(len(a), n)
+        vals = np.asarray(f(nodes)).reshape(len(a), n)
         if np.isnan(vals).any():
             raise ArithmeticError("integrand is NaN at a quadrature node")
         vals = np.nan_to_num(vals, posinf=1e300, neginf=-1e300)
-        return float(np.sum((vals * w[None, :]).sum(axis=1) * half))
+        return np.sum((vals * w[None, :]).sum(axis=1) * half).item()
 
-    value = run(order)
-    coarse = run(max(order // 2, 2))
+    value = run(ORDER)
+    coarse = run(ORDER // 2)
     return value, abs(value - coarse)
 
 
@@ -100,14 +103,12 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray],
                       hi: float = math.inf,
                       *,
                       open_lo: bool | None = None,
-                      open_hi: bool | None = None,
-                      rounds: int = ROUNDS,
-                      order: int = 24) -> IntegralResult:
+                      open_hi: bool | None = None) -> IntegralResult:
     """Integrate ``f`` over (lo, hi) with divergence detection.
 
     ``open_lo``/``open_hi`` mark endpoints to be approached through a shrinking
-    offset (defaults: lo == 0, hi == inf).  The integrand must be vectorised
-    and finite on the open interval.
+    offset (defaults: lo == 0, hi == inf).  The integrand, real or complex,
+    must be vectorised and finite on the open interval.
     """
     if open_lo is None:
         open_lo = (lo == 0.0)
@@ -120,7 +121,7 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray],
     vals: list[float] = []
     growths: list[float] = []
     err = math.inf
-    for k in range(rounds):
+    for k in range(ROUNDS):
         a_k = lo + d0 * _SHRINK ** (-k) if open_lo else lo
         if open_hi:
             b_k = (hi - d0 * _SHRINK ** (-k)) if math.isfinite(hi) else r0 * _GROW ** k
@@ -133,7 +134,7 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray],
             edges = log_edges(a_k, b_k, panels)
         else:
             edges = np.linspace(a_k, b_k, panels + 1)
-        value, err = gauss_panels(f, edges, order=order)
+        value, err = gauss_panels(f, edges)
         vals.append(value)
         if len(vals) >= 2:
             prev = vals[-2]
@@ -148,9 +149,9 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray],
     if not vals:
         raise ValueError("empty integration window")
     if len(growths) >= 3 and all(g > GROWTH_TOL for g in growths[-3:]):
-        return IntegralResult(vals[-1], math.inf, True, rounds)
+        return IntegralResult(vals[-1], math.inf, True, ROUNDS)
     tail_err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else err
-    return IntegralResult(vals[-1], max(err, tail_err), False, rounds)
+    return IntegralResult(vals[-1], max(err, tail_err), False, ROUNDS)
 
 
 def golden_section(f: Callable[[float], float], a: float, b: float, *,

@@ -147,6 +147,37 @@ class TestClassifyLadder:
         assert rep.rule == "budget-exhausted"
         assert any(e.name == "budget_exhausted" for e in rep.evidence)
 
+    def test_readme_audit_pins_rules_and_evidence_order(self):
+        U = ThorinMeasure(2, [
+            Atom(0.5, np.array([0.5, 0.5])),
+            Ray(np.array([1.0, 1.0]), make_ray_density("beta2", {"a": 1.0, "b": 2.0})),
+            Curve("circle_theta2", (0.0, 1.0))])
+        p = WvggParams(np.zeros(2), np.array([1.0, 0.0]), CORR, U)
+        b = Budget(s_samples=4, r_points=40, scan_directions=2, seed=7)
+        rep = classify(p, b, audit=True)
+        assert (rep.verdict, rep.rule, rep.numeric_only) == (
+            "NOT_SD", "Thm3.2(iv)-numeric", True)
+        assert [e.name for e in rep.evidence] == [
+            "moment_strong", "cone_samples_accepted", "rule8_pass_fraction",
+            "min_mean_positivity", "h0_positive_fraction",
+            "strict_increase_fraction", "r0_witness", "audit_rules_fired"]
+        assert rep.evidence[-1].note == (
+            "Thm3.2(iv)-numeric;Thm3.2(iii)-numeric;Thm3.2(ii)-numeric")
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_exhausted_budget_keeps_evidence_gathered_so_far(self, audit):
+        p = WvggParams(np.zeros(2), np.array([1.0, 0.5]), CORR,
+                       beta2_measure(1.0, 0.52, [1.0, 1.0]))
+        rep = classify(p, Budget(seed=3, time_limit_s=0.0), audit=audit)
+        assert (rep.verdict, rep.rule, rep.numeric_only) == (
+            "INCONCLUSIVE", "budget-exhausted", True)
+        assert [e.name for e in rep.evidence] == ["ray_half_moment[0]", "budget_exhausted"]
+
+    def test_no_scan_directions_skips_rule_9(self):
+        b = Budget(s_samples=4, scan_directions=0, r_points=20, seed=3)
+        rep = classify(wvag_params([1.0, 0.0]), b, audit=True)
+        assert rep.evidence[-1].note.split(";")[-1] == "Thm3.2(iv)-numeric"
+
     def test_audit_mode_consistency(self):
         for params in (wvag_params([0.0, 0.0]), wvag_params([1.0, 0.0])):
             rep = classify(params, FAST, audit=True)

@@ -263,6 +263,11 @@ class TestDivergenceCalibration:
         assert value > 1e299
         assert improper_integral(lambda v: np.full_like(v, np.inf), lo=0.0, hi=1.0).divergent
 
+    def test_complex_integrand_keeps_imaginary_part(self):
+        res = improper_integral(lambda t: np.exp(1j * t), lo=0.0, hi=1.0, open_lo=False)
+        assert res.finite
+        assert abs(res.value - (np.exp(1j) - 1.0) / 1j) < 1e-14
+
 
 class TestJsonAndRegistry:
     def test_round_trip(self):

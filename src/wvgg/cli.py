@@ -59,8 +59,6 @@ class RunConfig:
 
     @property
     def r_grid(self):
-        if self.r_count < 2:
-            raise ConfigError("grid counts must be >= 2")
         return default_r_grid(self.r_min, self.r_max, self.r_count)
 
 
@@ -108,6 +106,18 @@ def load_config(path: str, command: str | None, seed: int | None,
     )
     if cfg.r_count < 2 or cfg.s_count < 1:
         raise ConfigError("grid counts out of range")
+    if not 0.0 < cfg.r_min < cfg.r_max < math.inf:
+        raise ConfigError("grids need 0 < r_min < r_max < inf")
+    if params is not None:
+        vectors = [("s_list", s) for s in cfg.s_list or []]
+        vectors += [("theta_grid", t) for t in cfg.theta_grid or []]
+        vectors += [("x", cfg.x)] if cfg.x is not None else []
+        for key, v in vectors:
+            arr = np.asarray(v, dtype=float)
+            if arr.shape != (params.n,) or not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{key}: {v!r} is not a finite vector of length {params.n}")
+            if key == "s_list" and not np.any(arr):
+                raise ConfigError("s_list: a direction must be nonzero")
     return cfg
 
 

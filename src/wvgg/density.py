@@ -28,7 +28,7 @@ either factor.  Evaluations require n >= 2; n = 1 is not applicable here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,8 @@ BESSEL_CUT = 80.0
 _GRADE_DECADES = 10
 _PANELS_PER_DECADE = 4
 _GL_ORDER = 10
+_KINK_PROBES = 2001     # samples of a curve searched for ordering kinks
+_END_EDGES = 30         # log-graded panel edges toward each curve endpoint
 
 
 class NotApplicableError(Exception):
@@ -55,14 +57,14 @@ def c_n(n: int) -> float:
 
 # -- per-direction geometry ---------------------------------------------------
 
-def _curve_breakpoints(c: Curve, samples: int = 2001) -> list[float]:
+def _curve_breakpoints(c: Curve) -> list[float]:
     """Parameter values where the coordinate ordering of c(theta) changes.
 
     The pairwise-min matrix in the diamond product switches branch there, so
     the integrand has a derivative kink and panels must not straddle it.
     """
     lo, hi = c.interval
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, _KINK_PROBES)
     pts = c.points(ts)
     n = pts.shape[1]
     brks = []
@@ -87,7 +89,7 @@ def _curve_breakpoints(c: Curve, samples: int = 2001) -> list[float]:
     return sorted(brks)
 
 
-def _curve_param_nodes(c: Curve, halves: int = 30):
+def _curve_param_nodes(c: Curve):
     """Panel nodes for a curve component: log-graded toward the interval
     endpoints, split exactly at ordering kinks, smooth segments GL-composite."""
     lo, hi = c.interval
@@ -96,11 +98,11 @@ def _curve_param_nodes(c: Curve, halves: int = 30):
     for a, b in zip(seg_edges[:-1], seg_edges[1:]):
         inner = np.linspace(a, b, 13)[1:-1]
         if a == lo:
-            left = a + (b - a) * np.geomspace(1e-12, 0.5, halves)
+            left = a + (b - a) * np.geomspace(1e-12, 0.5, _END_EDGES)
         else:
             left = a + (b - a) * np.geomspace(1e-8, 0.5, 12)
         if b == hi:
-            right = b - (b - a) * np.geomspace(1e-12, 0.5, halves)[::-1]
+            right = b - (b - a) * np.geomspace(1e-12, 0.5, _END_EDGES)[::-1]
         else:
             right = b - (b - a) * np.geomspace(1e-8, 0.5, 12)[::-1]
         edges_list.append(np.unique(np.concatenate([[a], left, inner, right, [b]])))
@@ -237,25 +239,30 @@ def h_many(params: WvggParams, s, rs: np.ndarray, *, derivative: bool = False) -
 
 # -- moment integrals against the measure -------------------------------------
 
-def _over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s, numerator) -> IntegralResult:
+def _over_d_integrals(U: ThorinMeasure, mu, sigma: CovMatrix,
+                      s) -> tuple[IntegralResult, IntegralResult]:
+    """(int A/D dU, int E/D dU) over the open orthant, the real and imaginary
+    parts of one pass of (A + iE)/D.  |E| = |y.z| <= sqrt(q m) <= A at every
+    point (``geometry.quantities``), so one divergence verdict serves both."""
     mu = as_vector(mu, sigma.n)
     sv = as_vector(s, sigma.n)
 
     def g(points, t):
         qq = quantities(mu, sigma.entries, sv, points)
-        return numerator(qq, t) * np.exp(-qq.logd)
+        return (qq.a(t) + 1j * qq.e) * np.exp(-qq.logd)
 
-    return integrate(U.positive_part(), g)
+    res = integrate(U.positive_part(), g)
+    return replace(res, value=res.value.real), replace(res, value=res.value.imag)
 
 
 def a_over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s) -> IntegralResult:
     """int A(s,u) dU(u) / D(s,u) over the open orthant, with divergence detection."""
-    return _over_d_integral(U, mu, sigma, s, lambda qq, t: qq.a(t))
+    return _over_d_integrals(U, mu, sigma, s)[0]
 
 
 def e_over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s) -> IntegralResult:
-    """int E(s,u) dU(u) / D(s,u) over the open orthant."""
-    return _over_d_integral(U, mu, sigma, s, lambda qq, t: qq.e)
+    """int E(s,u) dU(u) / D(s,u) over the open orthant; divergent wherever A/D is."""
+    return _over_d_integrals(U, mu, sigma, s)[1]
 
 
 @dataclass
@@ -263,7 +270,7 @@ class DerivativeAtZero:
     applicable: bool
     value: float | None
     a_integral: IntegralResult
-    e_integral: IntegralResult | None = None
+    e_integral: IntegralResult
 
 
 def h_derivative_at_zero(params: WvggParams, s) -> DerivativeAtZero:
@@ -274,13 +281,10 @@ def h_derivative_at_zero(params: WvggParams, s) -> DerivativeAtZero:
     """
     if params.n < 2:
         raise NotApplicableError("polar density needs n >= 2")
-    a_res = a_over_d_integral(params.U, params.mu, params.sigma, s)
-    if not a_res.finite:
-        return DerivativeAtZero(False, None, a_res)
-    e_res = e_over_d_integral(params.U, params.mu, params.sigma, s)
+    a_res, e_res = _over_d_integrals(params.U, params.mu, params.sigma, s)
     n = params.n
     value = c_n(n) * 2.0 ** ((n - 2) / 2.0) * math.gamma(n / 2.0) * e_res.value
-    return DerivativeAtZero(True, value, a_res, e_res)
+    return DerivativeAtZero(a_res.finite, value if a_res.finite else None, a_res, e_res)
 
 
 # -- characteristic exponent ---------------------------------------------------

@@ -350,10 +350,10 @@ def _ladder(params: WvggParams, budget: Budget, tag: SubclassTag,
     if accepted:
         positive_e = []
         for s in accepted:
-            if a_over_d_integral(params.U, params.mu, params.sigma, s).finite:
-                e_res = e_over_d_integral(params.U, params.mu, params.sigma, s)
-                if e_res.finite and e_res.value > 1e-12:
-                    positive_e.append(e_res.value)
+            # E/D reads divergent wherever A/D does (one pass gives both)
+            e_res = e_over_d_integral(params.U, params.mu, params.sigma, s)
+            if e_res.finite and e_res.value > 1e-12:
+                positive_e.append(e_res.value)
             deadline()
         evidence.append(Evidence("rule8_pass_fraction",
                                  len(positive_e) / len(accepted), tol=POSITIVE_FRACTION))
@@ -512,9 +512,8 @@ def build_sd_counterexample(n: int, c: float, d, alpha, mu, sigma: CovMatrix,
     b = 1.0
     a = 2.0 * b / m_norm2
 
-    eigvals = np.linalg.eigvalsh(0.5 * (np.linalg.inv(m_mat)
-                                        + np.linalg.inv(m_mat).T))
-    lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
+    m_inv = np.linalg.inv(m_mat)
+    lam_min = float(np.linalg.eigvalsh(0.5 * (m_inv + m_inv.T))[0])
     e_bar = float(np.linalg.norm(sol))          # sup_{|s|=1} <s, M^{-1} m>
     a_low = 2.0 * lam_min
     b_low = m_norm2 * lam_min

@@ -21,6 +21,7 @@ import numpy as np
 DET_TOL = 1e-12
 EIG_TOL = 1e-9
 MAX_DIM = 16
+SPD_RIDGE = 1e-6
 
 
 class DimensionError(ValueError):
@@ -48,7 +49,7 @@ class CovMatrix:
 
     __slots__ = ("entries", "n", "det", "invertible", "eig_min")
 
-    def __init__(self, entries, *, det_tol: float = DET_TOL):
+    def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -67,7 +68,7 @@ class CovMatrix:
         self.n = n
         self.eig_min = eig_min
         self.det = float(np.linalg.det(a))
-        self.invertible = abs(self.det) > det_tol
+        self.invertible = abs(self.det) > DET_TOL
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -279,14 +280,13 @@ def sigma_sym(u, sigma: CovMatrix) -> CovMatrix:
     return CovMatrix(0.5 * (m + m.T))
 
 
-def random_spd(rng: np.random.Generator, n: int, *, ridge: float = 1e-6,
-               min_det: float = 0.0) -> CovMatrix:
-    """Random SPD matrix A A' + ridge I, rescaled to trace n; rejection on a
+def random_spd(rng: np.random.Generator, n: int, *, min_det: float = 0.0) -> CovMatrix:
+    """Random SPD matrix A A' + SPD_RIDGE I, rescaled to trace n; rejection on a
     minimum determinant when requested."""
     while True:
         a = rng.normal(size=(n, n))
         m = a @ a.T
-        m = 0.5 * (m + m.T) + ridge * np.eye(n)
+        m = 0.5 * (m + m.T) + SPD_RIDGE * np.eye(n)
         m = m * (n / np.trace(m))
         m = 0.5 * (m + m.T)
         cov = CovMatrix(m)

@@ -243,7 +243,6 @@ class ThorinMeasure:
             if c.n != self.n:
                 raise DimensionError("component dimension mismatch")
         self.components = list(components)
-        self.validation: ValidationReport | None = None
         if check:
             report = validate(self)
             if not report.valid:
@@ -291,9 +290,7 @@ def validate(measure: ThorinMeasure) -> ValidationReport:
     results = [integrate_component(c, g) for c in measure.components]
     offending = next((i for i, r in enumerate(results) if not r.finite), None)
     total = sum(r.value for r in results) if offending is None else math.inf
-    report = ValidationReport(offending is None, total, results, offending)
-    measure.validation = report
-    return report
+    return ValidationReport(offending is None, total, results, offending)
 
 
 # -- named families ----------------------------------------------------------

@@ -229,8 +229,21 @@ class TestErrors:
         cfg = write_config(tmp_path, "c.json", {"command": "classify"})
         assert main(["--config", cfg]) == 1
 
-    def test_bad_grid_counts(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "command": "density", "params": ATOM_FIXTURE,
-            "grids": {"r_count": 1}})
-        assert main(["--config", cfg]) == 1
+    @pytest.mark.parametrize("command,grids,x", [
+        ("density", {"r_count": 1}, None),
+        ("density", {"r_min": 0}, None),
+        ("density", {"r_min": -1}, None),
+        ("density", {"r_min": 10, "r_max": 1}, None),
+        ("density", {"s_list": [[0, 0]]}, None),
+        ("density", {"s_list": [[1, 0, 1]]}, None),
+        ("char-exponent", {"theta_grid": [[0.5, 0.5, 0.5]]}, None),
+        ("usp", {}, [1.0, 0.5, 0.2]),
+    ], ids=["r_count=1", "r_min=0", "r_min=-1", "r_min>r_max", "zero_direction",
+            "3-vector_s_list", "3-vector_theta", "3-vector_x"])
+    def test_malformed_grid_or_vector(self, tmp_path, capsys, command, grids, x):
+        raw = {"command": command, "params": WVAG_FIXTURE, "grids": grids,
+               "output": str(tmp_path / "run_")}
+        if x is not None:
+            raw["x"] = x
+        assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

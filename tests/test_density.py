@@ -5,15 +5,18 @@ import pytest
 from scipy.integrate import quad
 
 from wvgg.bessel import kappa_bessel
+from wvgg import measures
 from wvgg.density import (DensityCurve, NotApplicableError, a_over_d_integral,
                           char_exponent, default_r_grid, density_curve,
+                          e_over_d_integral,
                           h_density, h_derivative, h_derivative_at_zero,
                           h_many, monotonicity_scan, read_density_csv,
                           vg_char_exponent_closed_form, vg_levy_density,
                           write_density_csv)
+from wvgg.geometry import quantities
 from wvgg.linalg import CovMatrix, random_spd
-from wvgg.measures import (Atom, ThorinMeasure, WvggParams, beta2_measure,
-                           circle_measure, sdcex_measure)
+from wvgg.measures import (Atom, ThorinMeasure, WvggParams, alpha_gamma_measure,
+                           beta2_measure, circle_measure, integrate, sdcex_measure)
 
 
 def atom_params(mu, sigma=None, mass=1.0, point=(1.0, 1.0)):
@@ -383,3 +386,68 @@ class TestVectorisedEvaluation:
         dbatch = h_many(p, s, rs, derivative=True)
         for r, v in zip(rs, dbatch):
             assert v == pytest.approx(h_derivative(p, s, float(r)), rel=1e-13)
+
+
+README_MEASURE = ThorinMeasure(2, [
+    Atom(0.5, np.array([0.5, 0.5])),
+    beta2_measure(1.0, 2.0, [1.0, 1.0]).components[0],
+    circle_measure("theta_squared").components[0],
+])
+README_MU = np.array([1.0, 0.0])
+README_SIGMA = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+def real_pass(U, s, numerator):
+    """int numerator(qq, t) / D dU through the component dispatch, one real
+    integrand at a time."""
+    def g(points, t):
+        qq = quantities(README_MU, README_SIGMA.entries, s, points)
+        return numerator(qq, t) * np.exp(-qq.logd)
+
+    return integrate(U.positive_part(), g)
+
+
+class TestOverDIntegrals:
+    @pytest.mark.parametrize("U", [
+        alpha_gamma_measure(0.5, [0.6, 0.8]),
+        beta2_measure(1.0, 2.0, [1.0, 1.0]),
+        circle_measure("theta_squared"),
+        README_MEASURE,
+    ], ids=["alpha_gamma", "beta2_ray", "circle_theta2", "readme"])
+    @pytest.mark.parametrize("s", [(0.6, 0.8), (0.8, -0.6), (-0.28, 0.96)])
+    def test_one_pass_matches_separate_real_passes(self, U, s):
+        s = np.asarray(s)
+        a_res = a_over_d_integral(U, README_MU, README_SIGMA, s)
+        e_res = e_over_d_integral(U, README_MU, README_SIGMA, s)
+        a_ref = real_pass(U, s, lambda qq, t: qq.a(t))
+        e_ref = real_pass(U, s, lambda qq, t: qq.e)
+        assert a_res.finite and e_res.finite and a_ref.finite and e_ref.finite
+        assert a_res.value == pytest.approx(a_ref.value, rel=1e-14, abs=0)
+        assert e_res.value == pytest.approx(e_ref.value, rel=1e-14, abs=0)
+        # |E| <= A at every point
+        assert abs(e_res.value) <= a_res.value
+
+    def test_divergent_a_integral_makes_e_divergent(self):
+        # beta2(1, 0.3): the density decays like v^-1.3 and A like v^(1/2),
+        # so A/D has a v^-0.8 tail
+        U = beta2_measure(1.0, 0.3, [1.0, 1.0])
+        s = np.array([0.6, 0.8])
+        assert not a_over_d_integral(U, README_MU, README_SIGMA, s).finite
+        assert not e_over_d_integral(U, README_MU, README_SIGMA, s).finite
+        p = WvggParams(np.zeros(2), README_MU, README_SIGMA, U)
+        assert not h_derivative_at_zero(p, s).applicable
+
+    def test_derivative_at_zero_integrates_each_component_once(self, monkeypatch):
+        calls = []
+        original = measures.improper_integral
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "improper_integral", counted)
+        p = WvggParams(np.zeros(2), README_MU, README_SIGMA, README_MEASURE)
+        res = h_derivative_at_zero(p, np.array([0.6, 0.8]))
+        assert res.applicable
+        # one ray and one curve component
+        assert len(calls) == 2

@@ -147,7 +147,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     budget = Budget(seed=cfg.seed,
                     s_samples=int(cfg.tolerances.get("s_samples", 64)),
-                    r_points=cfg.r_count,
+                    r_grid=cfg.r_grid,
                     time_limit_s=cfg.tolerances.get("time_limit_s"))
     report = classify(params, budget)
     path = f"{cfg.output}report.json"

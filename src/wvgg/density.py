@@ -13,9 +13,10 @@ finite the derivative has the finite right limit
 
 Per measure component the u-integral collapses:
 
-* atoms and curves: the atoms and the curve parameter quadrature nodes are
-  r-independent, so they form one weighted point set whose geometric
-  quantities are cached per direction, and h is a plain weighted sum;
+* atoms and curves: the atoms and the nodes of each curve's own rule
+  (``Curve.rule``, split at its kinks) are r-independent, so they form one
+  weighted point set whose geometric quantities are cached per direction,
+  and h is a plain weighted sum;
 * rays u = v * alpha: E and D are invariant along the ray while
   A(s, v alpha)^2 = (2 v ||alpha||^2 + m) q (``geometry.quantities``), so a
   single radial quadrature remains (graded against density poles via a power
@@ -35,16 +36,13 @@ import numpy as np
 from .bessel import kappa_log_grid
 from .geometry import Quantities, quantities
 from .linalg import CovMatrix, as_vector, diamond_mat_raw
-from .measures import Atom, Curve, Ray, RayDensity, ThorinMeasure, WvggParams, integrate
-from .quadrature import IntegralResult, _leggauss
+from .measures import Atom, Ray, RayDensity, ThorinMeasure, WvggParams, integrate
+from .quadrature import IntegralResult, gauss_nodes
 from .quadrature import improper_integral  # noqa: F401  (perfbench/tracing.py patches this binding)
 
 BESSEL_CUT = 80.0
 _GRADE_DECADES = 10
 _PANELS_PER_DECADE = 4
-_GL_ORDER = 10
-_KINK_PROBES = 2001     # samples of a curve searched for ordering kinks
-_END_EDGES = 30         # log-graded panel edges toward each curve endpoint
 
 
 class NotApplicableError(Exception):
@@ -56,66 +54,6 @@ def c_n(n: int) -> float:
 
 
 # -- per-direction geometry ---------------------------------------------------
-
-def _curve_breakpoints(c: Curve) -> list[float]:
-    """Parameter values where the coordinate ordering of c(theta) changes.
-
-    The pairwise-min matrix in the diamond product switches branch there, so
-    the integrand has a derivative kink and panels must not straddle it.
-    """
-    lo, hi = c.interval
-    ts = np.linspace(lo, hi, _KINK_PROBES)
-    pts = c.points(ts)
-    n = pts.shape[1]
-    brks = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = pts[:, i] - pts[:, j]
-            flips = np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
-            for k in flips:
-                a, b = float(ts[k]), float(ts[k + 1])
-                fa = float(diff[k])
-                for _ in range(80):
-                    m = 0.5 * (a + b)
-                    pm = c.points(np.array([m]))[0]
-                    fm = float(pm[i] - pm[j])
-                    if fa * fm <= 0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                    if b - a < 1e-14 * max(1.0, abs(b)):
-                        break
-                brks.append(0.5 * (a + b))
-    return sorted(brks)
-
-
-def _curve_param_nodes(c: Curve):
-    """Panel nodes for a curve component: log-graded toward the interval
-    endpoints, split exactly at ordering kinks, smooth segments GL-composite."""
-    lo, hi = c.interval
-    seg_edges = [lo] + [b for b in _curve_breakpoints(c) if lo < b < hi] + [hi]
-    edges_list = []
-    for a, b in zip(seg_edges[:-1], seg_edges[1:]):
-        inner = np.linspace(a, b, 13)[1:-1]
-        if a == lo:
-            left = a + (b - a) * np.geomspace(1e-12, 0.5, _END_EDGES)
-        else:
-            left = a + (b - a) * np.geomspace(1e-8, 0.5, 12)
-        if b == hi:
-            right = b - (b - a) * np.geomspace(1e-12, 0.5, _END_EDGES)[::-1]
-        else:
-            right = b - (b - a) * np.geomspace(1e-8, 0.5, 12)[::-1]
-        edges_list.append(np.unique(np.concatenate([[a], left, inner, right, [b]])))
-    x, w = _leggauss(_GL_ORDER)
-    nodes_all, weights_all = [], []
-    for edges in edges_list:
-        a, b = edges[:-1], edges[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes_all.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
-        weights_all.append((half[:, None] * w[None, :]).ravel())
-    return np.concatenate(nodes_all), np.concatenate(weights_all)
-
 
 class _DirectionGeometry:
     """Cached component geometry for one direction s.
@@ -146,7 +84,7 @@ class _DirectionGeometry:
                 self.rays.append((quantities(mu, sigma, self.s, c.direction[None, :]),
                                   c.density))
             else:
-                nodes, w = _curve_param_nodes(c)
+                nodes, w = c.rule
                 points.append(c.points(nodes))
                 weights.append(w)
         self.weights = np.concatenate(weights)
@@ -170,12 +108,7 @@ def _ray_vgrid(qq: Quantities, density: RayDensity, r: float):
     y_lo = max(y_hi * 1e-22, min(y_hi * 10.0 ** (-_GRADE_DECADES), 1e-12))
     decades = math.log10(y_hi / y_lo)
     panels = max(8, int(math.ceil(decades * _PANELS_PER_DECADE)))
-    edges = np.geomspace(y_lo, y_hi, panels + 1)
-    x, w = _leggauss(_GL_ORDER)
-    a, b = edges[:-1], edges[1:]
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    y = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
+    y, wts = gauss_nodes(np.geomspace(y_lo, y_hi, panels + 1))
     v = lo + y ** (1.0 / q)
     jac = (1.0 / q) * y ** (1.0 / q - 1.0)
     return v, wts * jac
@@ -204,8 +137,9 @@ def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:
     out = np.empty((2, len(rs)))
     for i, r in enumerate(rs):
         r = float(r)
-        total = np.array(_kernel_sum(n, r, geom.weights, nodes.e, geom.a, nodes.logd,
-                                     derivative))
+        total = (np.array(_kernel_sum(n, r, geom.weights, nodes.e, geom.a, nodes.logd,
+                                      derivative))
+                 if geom.weights.size else np.zeros(2))
         for qq, density in geom.rays:
             grid = _ray_vgrid(qq, density, r)
             if grid is None:

@@ -160,7 +160,7 @@ POSITIVE_FRACTION = 0.05
 @dataclass
 class Budget:
     s_samples: int = 64
-    r_points: int = 120
+    r_grid: np.ndarray = field(default_factory=lambda: default_r_grid(count=120))
     scan_directions: int = 16
     seed: int = 0
     time_limit_s: float | None = None
@@ -379,7 +379,7 @@ def _ladder(params: WvggParams, budget: Budget, tag: SubclassTag,
         if _enough(sum(h0_positive), len(h0_positive)):
             yield "NOT_SD", "Thm3.2(iii)-numeric"
 
-    scan = monotonicity_scan(params, scanned, default_r_grid(count=budget.r_points))
+    scan = monotonicity_scan(params, scanned, budget.r_grid)
     increases = [v for v in scan if not v.nonincreasing]
     evidence.append(Evidence("strict_increase_fraction", len(increases) / len(scan),
                              tol=POSITIVE_FRACTION))
@@ -403,16 +403,12 @@ class EquivalenceReport:
 
 
 def _on_unit_sphere(components) -> bool:
+    """Atoms and curves only, at unit norm (a curve at the nodes of its rule)."""
     for c in components:
-        if isinstance(c, Atom):
-            if abs(np.linalg.norm(c.point) - 1.0) > 1e-12:
-                return False
-        elif isinstance(c, Curve):
-            lo, hi = c.interval
-            probe = c.points(np.linspace(lo + 1e-6, hi, 33))
-            if np.max(np.abs(np.linalg.norm(probe, axis=-1) - 1.0)) > 1e-12:
-                return False
-        else:
+        if isinstance(c, Ray):
+            return False
+        points = c.point[None, :] if isinstance(c, Atom) else c.points(c.rule[0])
+        if np.max(np.abs(np.linalg.norm(points, axis=-1) - 1.0)) > 1e-12:
             return False
     return True
 

@@ -214,17 +214,10 @@ def xi_extrema(n: int) -> tuple[int, int]:
 
 
 def upsilon_matrix(v) -> CovMatrix:
-    """Symmetric matrix with diagonal 2 and (k,l) entry 1 + prod(v_k..v_{l-1});
-    nonnegative definite for v in [0,1]^(n-1)."""
-    vv = as_vector(v)
-    if np.any((vv < 0) | (vv > 1)):
-        raise ValueError("v must lie in [0, 1]^(n-1)")
-    n = vv.size + 1
-    m = np.full((n, n), 2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = 1.0 + float(np.prod(vv[i:j]))
-    return CovMatrix(m)
+    """Symmetric matrix with diagonal 2 and (k,l) entry 1 + prod(v_k..v_{l-1}),
+    that is Delta + Delta'; nonnegative definite for v in [0,1]^(n-1)."""
+    delta = delta_matrix(v)
+    return CovMatrix(delta + delta.T)
 
 
 def theta_matrix(u) -> CovMatrix:
@@ -248,12 +241,7 @@ def delta_matrix(v) -> np.ndarray:
     vv = as_vector(v)
     if np.any((vv < 0) | (vv > 1)):
         raise ValueError("v must lie in [0, 1]^(n-1)")
-    n = vv.size + 1
-    m = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = float(np.prod(vv[i:j]))
-    return m
+    return delta_matrix_batch(vv[None, :])[0]
 
 
 def delta_matrix_batch(vs: np.ndarray) -> np.ndarray:

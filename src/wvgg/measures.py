@@ -6,7 +6,9 @@ A measure is a finite list of components on [0, inf)^n minus the origin:
 * ``Ray(direction, density)`` -- image of a density w(v) dv on (0, inf) under
   v -> v * direction; densities are named (registry) so measures serialise.
 * ``Curve(name, interval)`` -- image of Lebesgue measure on a parameter
-  interval under a named map, e.g. theta -> (cos theta^2, sin theta^2).
+  interval under a named map, e.g. theta -> (cos theta^2, sin theta^2); a
+  curve carries its kinks and the fixed node rule split at them, computed
+  once, and every curve integral is split at its kinks.
 
 Validity is the finiteness of int (1 + ln^- ||u||) ^ (1 / ||u||) dU, checked
 numerically with divergence detection.  The moment functionals below feed the
@@ -19,14 +21,16 @@ self-decomposability ladder:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .linalg import CovMatrix, DimensionError, as_vector
-from .quadrature import IntegralResult, improper_integral
+from .quadrature import IntegralResult, gauss_nodes, improper_integral
 
 __all__ = [
     "Atom", "Ray", "Curve", "RayDensity", "ThorinMeasure", "WvggParams",
@@ -167,6 +171,9 @@ class Ray:
 
 @dataclass(frozen=True)
 class Curve:
+    """Image of Lebesgue measure on ``interval`` under a named map c(theta).
+    The min-matrix in u <> Sigma switches branch wherever two coordinates of
+    c(theta) cross, so every curve integrand has a derivative kink there."""
     curve: str
     interval: tuple[float, float] = (0.0, 1.0)
 
@@ -183,6 +190,56 @@ class Curve:
     @property
     def n(self) -> int:
         return self.points(np.array([0.5 * sum(self.interval)])).shape[-1]
+
+    @cached_property
+    def kinks(self) -> tuple[float, ...]:
+        """Interior parameter values, ascending, where the coordinate ordering
+        of c(theta) changes: sign flips of each coordinate difference over
+        2,001 probes, each bisected to 1e-14 relative."""
+        lo, hi = self.interval
+        ts = np.linspace(lo, hi, 2001)
+        pts = self.points(ts)
+        brks = []
+        for i, j in itertools.combinations(range(pts.shape[1]), 2):
+            diff = pts[:, i] - pts[:, j]
+            for k in np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]:
+                a, b, fa = float(ts[k]), float(ts[k + 1]), float(diff[k])
+                for _ in range(80):
+                    m = 0.5 * (a + b)
+                    pm = self.points(np.array([m]))[0]
+                    fm = float(pm[i] - pm[j])
+                    if fa * fm <= 0:
+                        b = m
+                    else:
+                        a, fa = m, fm
+                    if b - a < 1e-14 * max(1.0, abs(b)):
+                        break
+                brks.append(0.5 * (a + b))
+        return tuple(sorted(b for b in brks if lo < b < hi))
+
+    @cached_property
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """(theta nodes, weights) of the curve's fixed rule: 10-point
+        Gauss-Legendre panels split at the kinks, 12 even panels per segment,
+        log-graded to 1e-12 toward the interval ends and to 1e-8 toward the
+        kinks."""
+        lo, hi = self.interval
+        cuts = [lo, *self.kinks, hi]
+        # relative offsets of the graded panel edges next to an end and a kink
+        end, kink = np.geomspace(1e-12, 0.5, 30), np.geomspace(1e-8, 0.5, 12)
+        parts = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            left = end if a == lo else kink
+            right = end if b == hi else kink
+            parts += [a + (b - a) * left, np.linspace(a, b, 13), b - (b - a) * right]
+        edges = np.sort(np.concatenate(parts))
+        return gauss_nodes(edges[np.append(True, np.diff(edges) > 0)])
+
+    @cached_property
+    def in_open_orthant(self) -> bool:
+        """Whether c(theta) lies in the open positive orthant at every node of
+        the rule (endpoint exceptions being parameter-null)."""
+        return bool(np.all(self.points(self.rule[0]) > 0))
 
 
 Component = Atom | Ray | Curve
@@ -206,20 +263,21 @@ def integrate_component(c: Component, g) -> IntegralResult:
                                  open_lo=True, open_hi=True)
     lo, hi = c.interval
     return improper_integral(lambda thetas: g(c.points(thetas), 1.0),
-                             lo=lo, hi=hi, open_lo=True, open_hi=True)
+                             lo=lo, hi=hi, open_lo=True, open_hi=True, points=c.kinks)
 
 
 def integrate(components, g) -> IntegralResult:
-    """Sum of int g dU over the components; the first divergent component's
-    result is returned as is."""
-    total, err = 0.0, 0.0
+    """Sum of int g dU over the components, with the sum of their errors and
+    rounds; the first divergent component's result is returned as is."""
+    total, err, rounds = 0.0, 0.0, 0
     for c in components:
         res = integrate_component(c, g)
         if not res.finite:
             return res
         total += res.value
         err += res.error
-    return IntegralResult(total, err, False)
+        rounds += res.rounds
+    return IntegralResult(total, err, False, rounds)
 
 
 def _validity_weight(norms: np.ndarray) -> np.ndarray:
@@ -269,11 +327,8 @@ class ThorinMeasure:
                 out.append(c)
             elif isinstance(c, Ray) and np.all(c.direction > 0):
                 out.append(c)
-            elif isinstance(c, Curve):
-                lo, hi = c.interval
-                probe = c.points(np.linspace(lo + 1e-9 * (hi - lo), hi, 17))
-                if np.all(probe > 0):
-                    out.append(c)
+            elif isinstance(c, Curve) and c.in_open_orthant:
+                out.append(c)
         return out
 
     def __repr__(self):

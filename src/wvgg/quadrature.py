@@ -6,11 +6,14 @@ Two workhorses live here:
 * :func:`gauss_panels` -- composite Gauss-Legendre over explicit panel edges,
   evaluating the (vectorised) integrand once on the full node array.  An error
   estimate comes from comparing against the half-order rule on the same panels.
+  :func:`gauss_nodes` returns the nodes and weights of such a rule, for the
+  fixed rules of the density code (a curve's ``rule``, a ray's radial grid).
 
 * :func:`improper_integral` -- a window-refinement driver for integrals over
   ``(lo, hi)`` whose endpoints may be singular or infinite.  Each round shrinks
   the offset from a singular endpoint and extends the truncation window
-  geometrically while doubling the panel count.  An integral is declared
+  geometrically while doubling the panel count; given interior kinks are
+  panel edges in every round.  An integral is declared
   divergent when the partial value keeps growing by more than 5% over the final
   three rounds, or exceeds 1e12.  This is a finite-vs-infinite detector, not a
   high-precision evaluator near the divergence boundary: with the 12-round
@@ -33,6 +36,7 @@ CLIP = 1e12
 GROWTH_TOL = 0.05
 ROUNDS = 12
 ORDER = 24
+NODE_ORDER = 10
 _SHRINK = 10.0
 _GROW = 10.0
 
@@ -93,6 +97,17 @@ def gauss_panels(f: Callable[[np.ndarray], np.ndarray],
     return value, abs(value - coarse)
 
 
+def gauss_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite ``NODE_ORDER``-point Gauss-Legendre
+    rule on the panels between consecutive ``edges``, panel by panel."""
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    x, w = _leggauss(NODE_ORDER)
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
+
+
 def log_edges(lo: float, hi: float, panels: int) -> np.ndarray:
     """Geometrically spaced panel edges on (lo, hi), lo > 0."""
     return np.exp(np.linspace(math.log(lo), math.log(hi), panels + 1))
@@ -103,12 +118,15 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray],
                       hi: float = math.inf,
                       *,
                       open_lo: bool | None = None,
-                      open_hi: bool | None = None) -> IntegralResult:
+                      open_hi: bool | None = None,
+                      points: tuple[float, ...] = ()) -> IntegralResult:
     """Integrate ``f`` over (lo, hi) with divergence detection.
 
     ``open_lo``/``open_hi`` mark endpoints to be approached through a shrinking
-    offset (defaults: lo == 0, hi == inf).  The integrand, real or complex,
-    must be vectorised and finite on the open interval.
+    offset (defaults: lo == 0, hi == inf).  ``points``, ascending, are interior
+    points where the integrand is not smooth (a derivative kink); every round
+    makes each one a panel edge.  The integrand, real or complex, must be
+    vectorised and finite on the open interval.
     """
     if open_lo is None:
         open_lo = (lo == 0.0)
@@ -134,6 +152,9 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray],
             edges = log_edges(a_k, b_k, panels)
         else:
             edges = np.linspace(a_k, b_k, panels + 1)
+        cuts = [p for p in points if a_k < p < b_k]
+        if cuts:
+            edges = np.insert(edges, np.searchsorted(edges, cuts), cuts)
         value, err = gauss_panels(f, edges)
         vals.append(value)
         if len(vals) >= 2:

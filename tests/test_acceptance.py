@@ -203,7 +203,7 @@ def test_acceptance_6_characteristic_exponent_equivalence():
 
 def test_acceptance_7_classifier_battery():
     corr = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    budget = Budget(s_samples=24, scan_directions=6, r_points=80, seed=3)
+    budget = Budget(s_samples=24, scan_directions=6, r_grid=default_r_grid(count=80), seed=3)
     lines = []
 
     ag = alpha_gamma_measure(0.5, [1.0, 1.0])

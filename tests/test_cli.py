@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from wvgg import cli
 from wvgg.bessel import kappa_bessel
 from wvgg.cli import main
+from wvgg.density import default_r_grid
 from wvgg.engine import ClassificationReport
 
 
@@ -74,9 +78,11 @@ class TestClassifyCommand:
         assert report["rule"] == "Thm3.1(iii)"
         assert report["seed"] == 7
 
-    @pytest.mark.parametrize("grids,r_points", [({}, 120), ({"r_count": 200}, 200),
-                                                ({"r_count": 30}, 30)])
-    def test_r_count_reaches_budget(self, tmp_path, monkeypatch, grids, r_points):
+    @pytest.mark.parametrize("grids,r_count", [({}, 120), ({"r_count": 200}, 200),
+                                               ({"r_count": 30}, 30),
+                                               ({"r_min": 1.0, "r_max": 2.0, "r_count": 30}, 30)])
+    def test_r_count_reaches_budget(self, tmp_path, monkeypatch, grids, r_count):
+        # the whole radius grid, r_min and r_max included, reaches the scan
         seen = []
 
         def fake_classify(params, budget):
@@ -87,7 +93,8 @@ class TestClassifyCommand:
         cfg = write_config(tmp_path, "c.json", {"command": "classify",
                                                 "params": WVAG_FIXTURE, "grids": grids})
         assert main(["--config", cfg, "--out", str(tmp_path / "run_")]) == 0
-        assert [b.r_points for b in seen] == [r_points]
+        r_grid = default_r_grid(grids.get("r_min", 1e-4), grids.get("r_max", 50.0), r_count)
+        assert len(seen) == 1 and np.array_equal(seen[0].r_grid, r_grid)
 
     def test_command_line_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -132,8 +139,7 @@ class TestDensityCommand:
             "grids": {"r_count": 10, "s_list": [[0.6, 0.8]]},
         })
         assert main(["--config", cfg, "--out", str(tmp_path / "r_")]) == 0
-        from wvgg.density import (default_r_grid, density_curve,
-                                  read_density_csv)
+        from wvgg.density import density_curve, read_density_csv
         from wvgg.measures import params_from_json
         params = params_from_json(ATOM_FIXTURE)
         expected = density_curve(params, np.array([0.6, 0.8]),
@@ -247,3 +253,29 @@ class TestErrors:
             raw["x"] = x
         assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestImports:
+    def test_cli_path_loads_no_scipy(self, tmp_path):
+        # a fresh interpreter runs a small classify, one density direction
+        # and one theta on the README example through load_config and the
+        # command handlers; importing scipy.special alone costs about 0.3 s
+        # and 25 MB, more than the rest of the startup
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "classify", "params": README_PARAMS, "seed": 7,
+            "grids": {"r_count": 20, "s_list": [[0.6, 0.8]],
+                      "theta_grid": [[1.2, -0.7]]},
+            "tolerances": {"s_samples": 2}})
+        code = f"""
+import sys
+from wvgg import cli
+for command, handler in [("classify", cli.cmd_classify), ("density", cli.cmd_density),
+                         ("char-exponent", cli.cmd_char_exponent)]:
+    assert handler(cli.load_config({cfg!r}, command, None, {str(tmp_path / "o_")!r})) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        assert out.stdout.strip().splitlines()[-1] == "[]"

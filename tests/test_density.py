@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from wvgg.bessel import kappa_bessel
-from wvgg import measures
+from wvgg import density, measures
 from wvgg.density import (DensityCurve, NotApplicableError, a_over_d_integral,
                           char_exponent, default_r_grid, density_curve,
                           e_over_d_integral,
@@ -247,22 +247,24 @@ class TestCharExponent:
         U = circle_measure("theta_squared")
         p = WvggParams(np.zeros(2), np.array([1.0, 0.0]),
                        CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]])), U)
-        th = np.array([1.2, -0.7])
-        psi = char_exponent(p, th)
         curve = U.curves()[0]
+        for th in (np.array([1.2, -0.7]), np.array([2.0, 2.0])):
+            def f(t, part):
+                u = curve.points(np.array([t]))[0]
+                z = (-1j * float((u * p.mu) @ th)
+                     + 0.5 * float(th @ (np.minimum.outer(u, u) * p.sigma.entries) @ th))
+                w = np.log(1.0 + z / float(u @ u))
+                return w.real if part == 0 else w.imag
 
-        def f(t, part):
-            u = curve.points(np.array([t]))[0]
-            z = (-1j * float((u * p.mu) @ th)
-                 + 0.5 * float(th @ (np.minimum.outer(u, u) * p.sigma.entries) @ th))
-            w = np.log(1.0 + z / float(u @ u))
-            return w.real if part == 0 else w.imag
+            re, im = (kink_split_quad(lambda t: f(t, part)) for part in (0, 1))
+            assert char_exponent(p, th) == pytest.approx(-(re + 1j * im), rel=1e-12)
 
-        # the coordinate ordering of the curve flips at theta^2 = pi / 4
-        kink = [math.sqrt(math.pi / 4.0)]
-        re, _ = quad(f, 0.0, 1.0, args=(0,), points=kink, epsabs=0, epsrel=1e-13, limit=400)
-        im, _ = quad(f, 0.0, 1.0, args=(1,), points=kink, epsabs=0, epsrel=1e-13, limit=400)
-        assert psi == pytest.approx(-(re + 1j * im), rel=1e-7)
+
+def kink_split_quad(f):
+    """int_0^1 f with the coordinate-ordering kink of circle_theta2,
+    theta^2 = pi / 4, as a breakpoint."""
+    return quad(f, 0.0, 1.0, points=[math.sqrt(math.pi / 4.0)], epsabs=0,
+                epsrel=1e-13, limit=400)[0]
 
 
 class TestVgLevyDensity:
@@ -427,6 +429,29 @@ class TestOverDIntegrals:
         # |E| <= A at every point
         assert abs(e_res.value) <= a_res.value
 
+    @pytest.mark.parametrize("s", [(0.8, 0.6), (0.6, 0.8), (0.95, -0.3)])
+    def test_curve_integrals_match_quadrature(self, s):
+        # A = sqrt((2 |u|^2 + |u <> mu|^2_{M^-1}) |s|^2_{M^-1}),
+        # E = <s, u <> mu>_{M^-1}, D = |s|^2_{M^-1} |M|^(1/2), M = u <> Sigma
+        s = np.asarray(s)
+        U = circle_measure("theta_squared")
+        curve = U.curves()[0]
+
+        def f(t, part):
+            u = curve.points(np.array([t]))[0]
+            m = np.minimum.outer(u, u) * README_SIGMA.entries
+            y, z = np.linalg.solve(m, s), np.linalg.solve(m, u * README_MU)
+            q = float(s @ y)
+            d = q * math.sqrt(np.linalg.det(m))
+            if part == 0:
+                return math.sqrt((2.0 * float(u @ u) + float((u * README_MU) @ z)) * q) / d
+            return float(s @ z) / d
+
+        a_res = a_over_d_integral(U, README_MU, README_SIGMA, s)
+        e_res = e_over_d_integral(U, README_MU, README_SIGMA, s)
+        assert a_res.value == pytest.approx(kink_split_quad(lambda t: f(t, 0)), rel=1e-12)
+        assert e_res.value == pytest.approx(kink_split_quad(lambda t: f(t, 1)), rel=1e-12)
+
     def test_divergent_a_integral_makes_e_divergent(self):
         # beta2(1, 0.3): the density decays like v^-1.3 and A like v^(1/2),
         # so A/D has a v^-0.8 tail
@@ -451,3 +476,23 @@ class TestOverDIntegrals:
         assert res.applicable
         # one ray and one curve component
         assert len(calls) == 2
+
+
+class TestKernelCalls:
+    def test_ray_only_measure_calls_the_kernel_once_per_ray_and_radius(self, monkeypatch):
+        calls = []
+        original = density.kappa_log_grid
+
+        def counted(rho, ws):
+            calls.append(np.size(ws))
+            return original(rho, ws)
+
+        monkeypatch.setattr(density, "kappa_log_grid", counted)
+        p = WvggParams(np.zeros(2), README_MU, README_SIGMA,
+                       beta2_measure(1.0, 2.0, [1.0, 1.0]))
+        rs = default_r_grid(1e-2, 10.0, 50)
+        h_many(p, np.array([0.6, 0.8]), rs)
+        assert len(calls) == 50 and min(calls) > 0
+        calls.clear()
+        h_many(p, np.array([0.6, 0.8]), rs, derivative=True)
+        assert len(calls) == 100 and min(calls) > 0

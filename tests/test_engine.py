@@ -17,7 +17,7 @@ from wvgg.density import default_r_grid
 from wvgg.quadrature import improper_integral
 
 CORR = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-FAST = Budget(s_samples=24, scan_directions=6, r_points=80, seed=3)
+FAST = Budget(s_samples=24, scan_directions=6, r_grid=default_r_grid(count=80), seed=3)
 
 
 def wvag_params(mu, sigma=CORR, a=0.5, alpha=(1.0, 1.0)):
@@ -153,7 +153,7 @@ class TestClassifyLadder:
             Ray(np.array([1.0, 1.0]), make_ray_density("beta2", {"a": 1.0, "b": 2.0})),
             Curve("circle_theta2", (0.0, 1.0))])
         p = WvggParams(np.zeros(2), np.array([1.0, 0.0]), CORR, U)
-        b = Budget(s_samples=4, r_points=40, scan_directions=2, seed=7)
+        b = Budget(s_samples=4, r_grid=default_r_grid(count=40), scan_directions=2, seed=7)
         rep = classify(p, b, audit=True)
         assert (rep.verdict, rep.rule, rep.numeric_only) == (
             "NOT_SD", "Thm3.2(iv)-numeric", True)
@@ -173,8 +173,21 @@ class TestClassifyLadder:
             "INCONCLUSIVE", "budget-exhausted", True)
         assert [e.name for e in rep.evidence] == ["ray_half_moment[0]", "budget_exhausted"]
 
+    def test_radial_scan_runs_on_the_budget_grid(self):
+        # A/D diverges on this ray, so rule 9 rests on the radial scan
+        p = WvggParams(np.zeros(2), np.array([5.0, 0.0]), CORR,
+                       beta2_measure(0.5, 0.3, [1.0, 2.0]))
+        witnesses = []
+        for r_min, r_max in ((1e-4, 50.0), (1.0, 2.0)):
+            rep = classify(p, Budget(s_samples=4, seed=9,
+                                     r_grid=default_r_grid(r_min, r_max, 30)))
+            assert rep.rule == "Thm3.2(ii)-numeric"
+            (r0,) = [e.value for e in rep.evidence if e.name == "r0_witness"]
+            witnesses.append(r0)
+        assert witnesses[0] < 1.0 <= witnesses[1] <= 2.0
+
     def test_no_scan_directions_skips_rule_9(self):
-        b = Budget(s_samples=4, scan_directions=0, r_points=20, seed=3)
+        b = Budget(s_samples=4, scan_directions=0, r_grid=default_r_grid(count=20), seed=3)
         rep = classify(wvag_params([1.0, 0.0]), b, audit=True)
         assert rep.evidence[-1].note.split(";")[-1] == "Thm3.2(iv)-numeric"
 
@@ -308,7 +321,7 @@ class TestCounterexample:
                                       np.array([1.0, 0.0]), CovMatrix(np.eye(2)),
                                       verify=False)
         rep = classify(cex.params, Budget(s_samples=10, scan_directions=4,
-                                          r_points=60, seed=5))
+                                          r_grid=default_r_grid(count=60), seed=5))
         assert rep.verdict != "NOT_SD"
         assert rep.verdict == "INCONCLUSIVE"
 
@@ -371,7 +384,7 @@ class TestDeterminismAndDimensions:
     def test_reports_reproducible_for_fixed_seed(self):
         p = WvggParams(np.zeros(2), np.array([1.0, 0.5]), CORR,
                        circle_measure("theta_squared"))
-        b = Budget(s_samples=16, scan_directions=4, r_points=60, seed=9)
+        b = Budget(s_samples=16, scan_directions=4, r_grid=default_r_grid(count=60), seed=9)
         first = classify(p, b).dumps()
         second = classify(p, b).dumps()
         assert first == second

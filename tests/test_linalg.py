@@ -168,6 +168,22 @@ class TestPatternMatrices:
         for i in range(8):
             assert np.allclose(batch[i], delta_matrix(vs[i]), atol=1e-15)
 
+    def test_delta_and_upsilon_entries(self):
+        # Delta: ones on and below the diagonal, prod(v_k..v_{l-1}) above it;
+        # Upsilon = Delta + Delta': 2 on the diagonal, 1 + prod(...) off it
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            n = int(rng.integers(2, 8))
+            v = rng.uniform(0.0, 1.0, n - 1)
+            pick = rng.uniform(size=n - 1)
+            v[pick < 0.15], v[pick > 0.85] = 0.0, 1.0
+            delta, ups = delta_matrix(v), upsilon_matrix(v).entries
+            for k in range(n):
+                for l in range(n):
+                    prod = float(np.prod(v[min(k, l):max(k, l)]))
+                    assert delta[k, l] == (prod if k < l else 1.0)
+                    assert ups[k, l] == (2.0 if k == l else 1.0 + prod)
+
     def test_upsilon_range_check(self):
         with pytest.raises(ValueError):
             upsilon_matrix([1.5])

@@ -95,6 +95,22 @@ class TestIntegrate:
         curve = Curve("circle_theta", (0.2, 1.1))
         assert integrate_component(curve, self.one).value == pytest.approx(0.9, rel=1e-12)
 
+    def test_sum_reports_component_rounds(self):
+        comps = [Atom(1.0, np.array([1.0, 1.0])),
+                 Ray(np.array([1.0, 2.0]), make_ray_density("beta2", {"a": 1.0, "b": 2.0})),
+                 Curve("circle_theta", (0.0, 1.0))]
+        res = integrate(comps, self.one)
+        rounds = [integrate_component(c, self.one).rounds for c in comps]
+        assert rounds[0] == 0 and rounds[1] > 0 and rounds[2] > 0
+        assert res.rounds == sum(rounds)
+
+    def test_curve_integral_split_at_kink(self):
+        # |cos - sin| has its kink at theta = pi / 4, where the coordinates cross
+        res = integrate_component(Curve("circle_theta", (0.0, 1.0)),
+                                  lambda points, t: np.abs(points[:, 0] - points[:, 1]))
+        exact = 2.0 * math.sqrt(2.0) - 1.0 - math.cos(1.0) - math.sin(1.0)
+        assert res.value == pytest.approx(exact, rel=1e-12)
+
     def test_stops_at_first_divergent_component(self):
         ray = Ray(np.array([1.0, 1.0]), make_ray_density("lebesgue", {}))
         res = integrate([Atom(1.0, np.array([1.0, 1.0])), ray,
@@ -163,6 +179,33 @@ class TestCircle:
     def test_requires_known_name(self):
         with pytest.raises(KeyError):
             circle_measure("spiral")
+
+
+class TestCurveRule:
+    @pytest.mark.parametrize("name,interval,kinks", [
+        ("circle_theta", (0.0, 1.0), [math.pi / 4.0]),
+        ("circle_theta", (0.2, 1.1), [math.pi / 4.0]),
+        ("circle_theta", (0.0, 0.5), []),
+        ("circle_theta2", (0.0, 1.0), [math.sqrt(math.pi / 4.0)]),
+    ], ids=["theta", "theta_on_0.2_1.1", "theta_no_crossing", "theta2"])
+    def test_kinks_and_rule(self, name, interval, kinks):
+        c = Curve(name, interval)
+        assert list(c.kinks) == pytest.approx(kinks, rel=1e-14)
+        lo, hi = interval
+        thetas, weights = c.rule
+        assert np.all((thetas > lo) & (thetas < hi))
+        assert weights.sum() == pytest.approx(hi - lo, rel=1e-14)
+        # |theta - kink| is integrated exactly only when the kink is a panel edge
+        for k in c.kinks:
+            exact = 0.5 * ((k - lo) ** 2 + (hi - k) ** 2)
+            assert np.sum(weights * np.abs(thetas - k)) == pytest.approx(exact, rel=1e-14)
+
+    def test_orthant_verdict(self):
+        inside = Curve("circle_theta", (0.0, 1.0))
+        outside = Curve("circle_theta", (1.0, 2.0))    # cos 2 < 0
+        assert inside.in_open_orthant and not outside.in_open_orthant
+        U = ThorinMeasure(2, [inside, outside])
+        assert U.positive_part() == [inside]
 
 
 class TestTruncatedPowerLaw:

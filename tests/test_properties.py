@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wvgg.density import (a_over_d_integral, c_n, e_over_d_integral,
-                          h_derivative_at_zero)
+                          h_derivative_at_zero, h_many)
+from wvgg.geometry import quantities
 from wvgg.linalg import CovMatrix
 from wvgg.measures import (Atom, Curve, Ray, ThorinMeasure, WvggParams,
                            make_ray_density)
@@ -68,3 +69,24 @@ def test_over_d_integrals_and_derivative_at_zero(case):
     n = params.n
     expected = c_n(n) * 2.0 ** ((n - 2) / 2.0) * math.gamma(n / 2.0) * e_res.value
     assert res.value == pytest.approx(expected, rel=1e-14, abs=1e-300)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wvgg_case())
+def test_polar_density_nonnegative(case):
+    params, s = case
+    assert np.all(h_many(params, s, np.geomspace(1e-3, 20.0, 6)) >= 0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(wvgg_case(), st.lists(_floats(1e-3, 1e3), min_size=1, max_size=4))
+def test_e_and_d_invariant_along_rays(case, scales):
+    params, s = case
+    points = np.array([c.point for c in params.U.atoms()]
+                      + [c.direction for c in params.U.rays()])
+    base = quantities(params.mu, params.sigma.entries, s, points)
+    for t in scales:
+        scaled = quantities(params.mu, params.sigma.entries, s, t * points)
+        assert np.allclose(scaled.e, base.e, rtol=1e-9, atol=1e-12)
+        assert np.allclose(scaled.logd, base.logd, rtol=0.0, atol=1e-9)

@@ -74,7 +74,7 @@ def kappa_log_grid(rho: float, ws) -> np.ndarray:
     count = n_left + np.ceil(_reach(DROP / t) / h) + 1.0
     count = (_NODE_QUANTUM * np.ceil(count / _NODE_QUANTUM)).astype(int)
     out = np.empty(w.size)
-    for n in np.unique(count):
+    for n in np.flatnonzero(np.bincount(count)):
         rows = np.nonzero(count == n)[0]
         step = max(1, _CHUNK_CELLS // n)
         k = np.arange(n, dtype=float)

@@ -41,6 +41,18 @@ class ConfigError(Exception):
     pass
 
 
+def _finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
+
+
+# the keys a "tolerances" block may hold, each with the values it accepts
+TOLERANCES = {
+    "s_samples": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+    "time_limit_s": lambda v: v is None or (_finite_number(v) and v >= 0),
+    "margin": _finite_number,
+}
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -108,6 +120,13 @@ def load_config(path: str, command: str | None, seed: int | None,
         raise ConfigError("grid counts out of range")
     if not 0.0 < cfg.r_min < cfg.r_max < math.inf:
         raise ConfigError("grids need 0 < r_min < r_max < inf")
+    if not isinstance(cfg.tolerances, dict):
+        raise ConfigError("tolerances must be a JSON object")
+    for key, v in cfg.tolerances.items():
+        if key not in TOLERANCES:
+            raise ConfigError(f"tolerances: unknown key {key!r}")
+        if not TOLERANCES[key](v):
+            raise ConfigError(f"tolerances: {key} = {v!r} is not a valid value")
     if params is not None:
         vectors = [("s_list", s) for s in cfg.s_list or []]
         vectors += [("theta_grid", t) for t in cfg.theta_grid or []]
@@ -174,9 +193,7 @@ def cmd_usp(cfg: RunConfig) -> int:
     params = _require_params(cfg)
     ctx = QuantityContext(params.mu, params.sigma)
     x = np.asarray(cfg.x, dtype=float) if cfg.x is not None else params.mu
-    est = usp_infimum(ctx, x,
-                      grid_points=int(cfg.tolerances.get("usp_grid_points", 17)),
-                      eps=float(cfg.tolerances.get("usp_interior_clip", 1e-8)))
+    est = usp_infimum(ctx, x)
     obj = {"value": est.value, "argmin_v": est.argmin_v.tolist(),
            "permutation": est.permutation, "boundary": est.boundary,
            "certified_positive": est.certified_positive,
@@ -358,7 +375,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[cfg.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, linalg.DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DivergentIntegral, VerificationError, ArithmeticError) as exc:

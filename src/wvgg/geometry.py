@@ -10,12 +10,14 @@ E is invariant under positive scaling of u, and the infimum of E(x, .) over
 the open positive orthant reduces, per coordinate permutation, to a minimum
 over ratio vectors v in [0,1]^(n-1) of  mu (Delta_n(v) * Sigma)^{-1} x'.  That
 ratio form extends continuously to the faces of the box (the Hadamard product
-Delta_n(v) * Sigma stays invertible there) and is what the grid search uses;
-reconstructing u from near-face ratio vectors is numerically hopeless.
+Delta_n(v) * Sigma stays invertible there), and the cone search runs on it,
+from the vertices of the closed box; reconstructing u from near-face ratio
+vectors is numerically hopeless.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,9 +28,7 @@ import numpy as np
 from .linalg import CovMatrix, DimensionError, as_vector, delta_matrix_batch, diamond_mat_raw
 from .quadrature import golden_section
 
-INTERIOR_CLIP = 1e-8
 BOUNDARY_TOL = 1e-6
-GRID_POINTS = 17
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ def _ratio_objective_batch(mu_p: np.ndarray, sigma_p: np.ndarray, x_p: np.ndarra
     return np.einsum("k,mk->m", mu_p, sols[..., 0])
 
 
-def _coordinate_descent(fun, v0: np.ndarray, lo: float, hi: float,
-                        sweeps: int = 40) -> tuple[np.ndarray, float]:
+def _coordinate_descent(fun, v0: np.ndarray, sweeps: int = 40) -> tuple[np.ndarray, float]:
+    """Cyclic golden-section descent of fun over the closed box [0,1]^(n-1)."""
     v = v0.copy()
     best = fun(v)
     for _ in range(sweeps):
@@ -161,8 +161,8 @@ def _coordinate_descent(fun, v0: np.ndarray, lo: float, hi: float,
                 vk[k] = t
                 return fun(vk)
 
-            t_best, f_best = golden_section(f1, lo, hi, iters=60, tol=1e-13)
-            for t_cand in (lo, hi):
+            t_best, f_best = golden_section(f1, 0.0, 1.0, iters=60, tol=1e-13)
+            for t_cand in (0.0, 1.0):
                 vk[k] = t_cand
                 f_cand = fun(vk)
                 if f_cand < f_best:
@@ -175,62 +175,44 @@ def _coordinate_descent(fun, v0: np.ndarray, lo: float, hi: float,
     return v, best
 
 
-def usp_infimum(ctx: QuantityContext, x, *, grid_points: int = GRID_POINTS,
-                eps: float = INTERIOR_CLIP) -> InfimumEstimate:
+def usp_infimum(ctx: QuantityContext, x) -> InfimumEstimate:
     """inf over the open positive orthant of E(x, u).
 
-    Runs the ratio-vector grid per coordinate permutation (v in [eps,1]^(n-1);
-    the full closed box when x == mu, where the face values are exact) and
-    refines the best cells by coordinate descent.  certified_positive demands
-    the refined value exceed ten times the refinement delta.
+    Starts from the 2^(n-1) vertices of the closed ratio box [0,1]^(n-1) per
+    coordinate permutation and refines the three best by coordinate descent.
+    For n <= 3 the ratio form is a Moebius function of each v_k with no pole
+    on [0,1] (its v_k coefficient is a rank-one block), so the vertex minimum
+    is exact and descent cannot lower it; for n >= 4 descent is the safeguard.
+    certified_positive demands the refined value exceed ten times the
+    refinement delta.
     """
     n = ctx.n
     if n > 6:
         raise DimensionError("exhaustive permutation scan limited to n <= 6")
     xv = as_vector(x, ctx.n)
-    x_is_mu = np.array_equal(xv, ctx.mu)
+    vertices = np.array(list(itertools.product([0.0, 1.0], repeat=n - 1)))
 
-    if n == 1:
-        val = float(ctx.mu[0] * xv[0] / ctx.sigma.entries[0, 0])
-        return InfimumEstimate(val, np.zeros(0), [0], False, val > 0, 0.0, 1)
-
-    lo = 0.0 if x_is_mu else eps
-    axis = np.linspace(lo, 1.0, grid_points)
-    grids = np.stack([g.ravel() for g in np.meshgrid(*([axis] * (n - 1)), indexing="ij")],
-                     axis=1)
-
-    best = math.inf
-    best_grid = math.inf
-    best_v = None
-    best_perm = None
-    samples = 0
     candidates = []
     for perm in itertools.permutations(range(n)):
         p = list(perm)
-        mu_p = ctx.mu[p]
-        x_p = xv[p]
-        sigma_p = ctx.sigma.entries[np.ix_(p, p)]
-        vals = _ratio_objective_batch(mu_p, sigma_p, x_p, grids)
-        samples += vals.size
+        objective = functools.partial(_ratio_objective_batch, ctx.mu[p],
+                                      ctx.sigma.entries[np.ix_(p, p)], xv[p])
+        vals = objective(vertices)
         i = int(np.argmin(vals))
-        candidates.append((float(vals[i]), grids[i].copy(), p, mu_p, sigma_p, x_p))
-        if vals[i] < best_grid:
-            best_grid = float(vals[i])
+        candidates.append((float(vals[i]), vertices[i], p, objective))
 
     candidates.sort(key=lambda c: c[0])
-    for val0, v0, p, mu_p, sigma_p, x_p in candidates[:3]:
-        fun = lambda v: float(_ratio_objective_batch(mu_p, sigma_p, x_p, v[None, :])[0])
-        v_ref, val_ref = _coordinate_descent(fun, v0, lo, 1.0)
-        if val_ref < best:
-            best = val_ref
-            best_v = v_ref
-            best_perm = p
+    refined = []
+    for _, v0, p, objective in candidates[:3]:
+        fun = lambda v: float(objective(v[None, :])[0])
+        refined.append((*_coordinate_descent(fun, v0), p))
+    best_v, best, best_perm = min(refined, key=lambda r: r[1])
 
-    uncertainty = max(best_grid - best, 0.0) + 1e-13 * (1.0 + abs(best))
+    uncertainty = max(candidates[0][0] - best, 0.0) + 1e-13 * (1.0 + abs(best))
     certified = best > 10.0 * uncertainty
     boundary = bool(np.any(best_v < BOUNDARY_TOL))
     return InfimumEstimate(best, best_v, best_perm, boundary, certified,
-                           uncertainty, samples)
+                           uncertainty, len(candidates) * len(vertices))
 
 
 @dataclass

@@ -254,13 +254,49 @@ class TestErrors:
         assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command,tolerances", [
+        ("classify", {"s_samples": "many"}),
+        ("classify", {"s_sample": 4}),
+        ("classify", {"s_samples": 0}),
+        ("classify", {"s_samples": 2.5}),
+        ("classify", {"time_limit_s": -1.0}),
+        ("counterexample", {"margin": float("nan")}),
+        ("usp", {"usp_grid_points": 17}),
+        ("usp", [1, 2]),
+    ], ids=["non-numeric", "typo_key", "s_samples=0", "fractional_s_samples",
+            "negative_time_limit", "nan_margin", "usp_grid_points", "not_an_object"])
+    def test_malformed_tolerances(self, tmp_path, capsys, command, tolerances):
+        raw = {"command": command, "params": WVAG_FIXTURE, "tolerances": tolerances,
+               "counterexample": {"n": 2, "alpha": [1.0, 1.0], "mu": [1.0, 0.0],
+                                  "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+               "grids": {"r_count": 10, "s_count": 2}, "output": str(tmp_path / "run_")}
+        assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_valid_tolerances_accepted(self, tmp_path):
+        raw = {"command": "classify", "params": WVAG_FIXTURE,
+               "tolerances": {"s_samples": 1, "time_limit_s": None, "margin": -0.5},
+               "output": str(tmp_path / "run_")}
+        assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 0
+
+    def test_usp_beyond_six_dimensions(self, tmp_path, capsys):
+        # the permutation scan stops at n = 6; n = 7 is a configuration error
+        n = 7
+        params = {"d": [0] * n, "mu": [1.0] * n, "sigma": np.eye(n).tolist(),
+                  "U": {"n": n, "components": [
+                      {"kind": "atom", "mass": 1.0, "point": [1.0] * n}]}}
+        raw = {"command": "usp", "params": params, "output": str(tmp_path / "run_")}
+        assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestImports:
     def test_cli_path_loads_no_scipy(self, tmp_path):
         # a fresh interpreter runs a small classify, one density direction
         # and one theta on the README example through load_config and the
         # command handlers; importing scipy.special alone costs about 0.3 s
-        # and 25 MB, more than the rest of the startup
+        # and 25 MB, more than the rest of the startup, and numpy.ma (pulled
+        # in by the first np.unique call) about 1 MB
         cfg = write_config(tmp_path, "c.json", {
             "command": "classify", "params": README_PARAMS, "seed": 7,
             "grids": {"r_count": 20, "s_list": [[0.6, 0.8]],
@@ -272,7 +308,8 @@ from wvgg import cli
 for command, handler in [("classify", cli.cmd_classify), ("density", cli.cmd_density),
                          ("char-exponent", cli.cmd_char_exponent)]:
     assert handler(cli.load_config({cfg!r}, command, None, {str(tmp_path / "o_")!r})) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+             or m.split(".")[:2] == ["numpy", "ma"]))
 """
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)

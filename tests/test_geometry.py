@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from wvgg.geometry import (QuantityContext, a_quantity, ade_quantities,
-                           d_quantity, e_quantity, extremal_scan, quantities,
-                           u_from_ratios, usp_infimum, v_plus_member)
+from wvgg.geometry import (QuantityContext, _ratio_objective_batch, a_quantity,
+                           ade_quantities, d_quantity, e_quantity, extremal_scan,
+                           quantities, u_from_ratios, usp_infimum, v_plus_member)
 from wvgg.linalg import CovMatrix, DimensionError, delta_matrix, random_spd
 
 
@@ -135,11 +136,45 @@ class TestUspInfimum:
 
     def test_value_bounds_samples(self):
         rng = np.random.default_rng(4)
-        ctx = random_ctx(rng, 3)
-        est = usp_infimum(ctx, ctx.mu)
-        for _ in range(200):
-            u = rng.uniform(0.01, 20.0, 3)
-            assert est.value <= e_quantity(ctx, ctx.mu, u) + 1e-10
+        for n in (3, 4):
+            ctx = random_ctx(rng, n)
+            est = usp_infimum(ctx, ctx.mu)
+            for _ in range(200):
+                u = rng.uniform(0.01, 20.0, n)
+                assert est.value <= e_quantity(ctx, ctx.mu, u) + 1e-10
+
+    @pytest.mark.parametrize("n,axis_points", [(2, 2001), (3, 201)])
+    def test_matches_closed_box_oracle(self, n, axis_points):
+        # for n <= 3 the ratio form is monotone in each v_k on the closed box,
+        # so the infimum sits at a vertex; a dense grid over the closed box
+        # (vertices included) is the oracle, and the descent must not move
+        axis = np.linspace(0.0, 1.0, axis_points)
+        grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * (n - 1)), indexing="ij")],
+                        axis=1)
+        rng = np.random.default_rng(30 + n)
+        for _ in range(20):
+            ctx = random_ctx(rng, n)
+            x = ctx.mu + rng.normal(size=n)
+            oracle = min(float(_ratio_objective_batch(ctx.mu[list(p)],
+                                                      ctx.sigma.entries[np.ix_(p, p)],
+                                                      x[list(p)], grid).min())
+                         for p in itertools.permutations(range(n)))
+            est = usp_infimum(ctx, x)
+            assert est.value == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+            assert est.uncertainty <= 2e-13 * (1.0 + abs(est.value))
+
+    def test_one_dimension(self):
+        ctx = QuantityContext(np.array([2.0]), CovMatrix(np.array([[4.0]])))
+        est = usp_infimum(ctx, np.array([-3.0]))
+        assert est.value == pytest.approx(2.0 * -3.0 / 4.0, rel=1e-15)
+        assert est.samples == 1
+        assert not est.certified_positive
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_starts_are_box_vertices(self, n):
+        # n! permutations times the 2^(n-1) vertices of the ratio box
+        ctx = random_ctx(np.random.default_rng(40 + n), n)
+        assert usp_infimum(ctx, ctx.mu).samples == math.factorial(n) * 2 ** (n - 1)
 
     def test_drift_always_positive(self):
         rng = np.random.default_rng(5)

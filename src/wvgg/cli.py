@@ -45,12 +45,41 @@ def _finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and -math.inf < v < math.inf
 
 
-# the keys a "tolerances" block may hold, each with the values it accepts
-TOLERANCES = {
-    "s_samples": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-    "time_limit_s": lambda v: v is None or (_finite_number(v) and v >= 0),
-    "margin": _finite_number,
-}
+def _integer(lo: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _vector(v) -> bool:
+    return isinstance(v, list) and all(map(_finite_number, v))
+
+
+def _vectors(v) -> bool:
+    return isinstance(v, list) and all(map(_vector, v))
+
+
+# the keys each config block may hold, each with the values it accepts
+GRIDS = {"r_min": _finite_number, "r_max": _finite_number, "r_count": _integer(2),
+         "s_count": _integer(1), "s_list": _vectors, "theta_grid": _vectors}
+TOLERANCES = {"s_samples": _integer(1), "margin": _finite_number,
+              "time_limit_s": lambda v: v is None or (_finite_number(v) and v >= 0)}
+COUNTEREXAMPLE = {"n": _integer(2), "c": lambda v: _finite_number(v) and 0.5 <= v <= 1.0,
+                  "alpha": _vector, "mu": _vector, "sigma": _vectors, "d": _vector}
+
+
+def _check_block(name: str, block, table: dict, required=()) -> dict:
+    """The block, once it holds every ``required`` key and only keys of
+    ``table``, each with a value its predicate accepts."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    for key in required:
+        if key not in block:
+            raise ConfigError(f"{name}: missing key {key!r}")
+    for key, v in block.items():
+        if key not in table:
+            raise ConfigError(f"{name}: unknown key {key!r}")
+        if not table[key](v):
+            raise ConfigError(f"{name}: {key} = {v!r} is not a valid value")
+    return block
 
 
 @dataclass
@@ -98,35 +127,31 @@ def load_config(path: str, command: str | None, seed: int | None,
     elif "params" in raw:
         params = params_from_json(raw["params"])
 
-    grids = raw.get("grids", {})
+    grids = _check_block("grids", raw.get("grids", {}), GRIDS)
+    seed = raw.get("seed", 0) if seed is None else seed
+    if not _integer(0)(seed):
+        raise ConfigError(f"seed = {seed!r} is not a nonnegative integer")
     cfg = RunConfig(
         command=cmd,
         params=params,
         output=out if out is not None else raw.get("output", "out_"),
-        seed=seed if seed is not None else int(raw.get("seed", 0)),
+        seed=seed,
         r_min=float(grids.get("r_min", 1e-4)),
         r_max=float(grids.get("r_max", 50.0)),
         # classify scans 120 radii and counterexample verifies 32 directions
         # unless the config says otherwise
-        r_count=int(grids.get("r_count", 120 if cmd == "classify" else 200)),
-        s_count=int(grids.get("s_count", 32 if cmd == "counterexample" else 8)),
+        r_count=grids.get("r_count", 120 if cmd == "classify" else 200),
+        s_count=grids.get("s_count", 32 if cmd == "counterexample" else 8),
         s_list=grids.get("s_list"),
         x=raw.get("x"),
-        tolerances=raw.get("tolerances", {}),
-        counterexample=raw.get("counterexample", {}),
+        tolerances=_check_block("tolerances", raw.get("tolerances", {}), TOLERANCES),
+        counterexample=(_check_block("counterexample", raw["counterexample"],
+                                     COUNTEREXAMPLE, ("n", "alpha", "mu", "sigma"))
+                        if "counterexample" in raw else {}),
         theta_grid=grids.get("theta_grid"),
     )
-    if cfg.r_count < 2 or cfg.s_count < 1:
-        raise ConfigError("grid counts out of range")
     if not 0.0 < cfg.r_min < cfg.r_max < math.inf:
         raise ConfigError("grids need 0 < r_min < r_max < inf")
-    if not isinstance(cfg.tolerances, dict):
-        raise ConfigError("tolerances must be a JSON object")
-    for key, v in cfg.tolerances.items():
-        if key not in TOLERANCES:
-            raise ConfigError(f"tolerances: unknown key {key!r}")
-        if not TOLERANCES[key](v):
-            raise ConfigError(f"tolerances: {key} = {v!r} is not a valid value")
     if params is not None:
         vectors = [("s_list", s) for s in cfg.s_list or []]
         vectors += [("theta_grid", t) for t in cfg.theta_grid or []]

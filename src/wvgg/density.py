@@ -11,16 +11,21 @@ finite the derivative has the finite right limit
 
     c_n 2^((n-2)/2) Gamma(n/2) int E(s,u) dU(u) / D(s,u)   at r -> 0+.
 
-Per measure component the u-integral collapses:
+Each direction is discretised once, for h, dh and the A/D and E/D integrals:
 
 * atoms and curves: the atoms and the nodes of each curve's own rule
   (``Curve.rule``, split at its kinks) are r-independent, so they form one
   weighted point set whose geometric quantities are cached per direction,
-  and h is a plain weighted sum;
+  and every integral over them is a plain weighted sum;
 * rays u = v * alpha: E and D are invariant along the ray while
   A(s, v alpha)^2 = (2 v ||alpha||^2 + m) q (``geometry.quantities``), so a
-  single radial quadrature remains (graded against density poles via a power
-  substitution, truncated where the Bessel kernel is spent).
+  single radial quadrature remains (for h graded against density poles via a
+  power substitution, truncated where the Bessel kernel is spent; for A/D
+  and E/D the divergence detector);
+* a curve meeting the face u_k = 0 at a direction with s_k = 0 makes |M|
+  vanish while q stays bounded, so every integrand there grows like 1/D: the
+  detector decides int 1/D over such curves once, and where it diverges h
+  raises ArithmeticError and A/D and E/D read divergent.
 
 Every term is assembled as exp(r E + ln kappa - ln D) to dodge overflow in
 either factor.  Evaluations require n >= 2; n = 1 is not applicable here.
@@ -61,7 +66,8 @@ class _DirectionGeometry:
     Atoms and curve quadrature nodes form one weighted point set (weights are
     masses and parameter-quadrature weights) with r-independent E, A, ln D.
     Rays keep their kernel row at the direction, since their radial nodes
-    depend on r.
+    depend on r.  ``divergent`` holds the detector's verdict on int 1/D over
+    the curves that meet a face u_k = 0 where s_k = 0.
     """
 
     def __init__(self, params: WvggParams, s):
@@ -75,21 +81,26 @@ class _DirectionGeometry:
             raise ValueError("Sigma must be invertible")
         mu, sigma = params.mu, params.sigma.entries
         points, weights = [np.zeros((0, params.n))], [np.zeros(0)]
-        self.rays: list[tuple[Quantities, RayDensity]] = []
+        self.rays: list[tuple[Ray, Quantities]] = []
+        on_face = []
         for c in params.U.positive_part():
             if isinstance(c, Atom):
                 points.append(c.point[None, :])
                 weights.append(np.array([c.mass]))
             elif isinstance(c, Ray):
-                self.rays.append((quantities(mu, sigma, self.s, c.direction[None, :]),
-                                  c.density))
+                self.rays.append((c, quantities(mu, sigma, self.s, c.direction[None, :])))
             else:
                 nodes, w = c.rule
                 points.append(c.points(nodes))
                 weights.append(w)
+                ends = c.points(np.array(c.interval))
+                if np.any((self.s == 0) & np.any(ends == 0, axis=0)):
+                    on_face.append(c)
         self.weights = np.concatenate(weights)
         self.nodes = quantities(mu, sigma, self.s, np.concatenate(points))
         self.a = self.nodes.a()
+        self.divergent = bool(on_face) and not integrate(
+            on_face, lambda p, t: np.exp(-quantities(mu, sigma, self.s, p).logd)).finite
 
 
 def _ray_vgrid(qq: Quantities, density: RayDensity, r: float):
@@ -132,6 +143,9 @@ def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:
     """Rows h_s and, with ``derivative``, its radial derivative (zeros
     without) at each radius of rs, from the component sums in exp-assembled
     form."""
+    if geom.divergent:
+        raise ArithmeticError("density diverges at this direction: a curve meets "
+                              "the orthant face where the direction is zero")
     n = geom.params.n
     nodes = geom.nodes
     out = np.empty((2, len(rs)))
@@ -140,12 +154,12 @@ def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:
         total = (np.array(_kernel_sum(n, r, geom.weights, nodes.e, geom.a, nodes.logd,
                                       derivative))
                  if geom.weights.size else np.zeros(2))
-        for qq, density in geom.rays:
-            grid = _ray_vgrid(qq, density, r)
+        for ray, qq in geom.rays:
+            grid = _ray_vgrid(qq, ray.density, r)
             if grid is None:
                 continue
             v, wts = grid
-            total += _kernel_sum(n, r, wts * density(v), qq.e, qq.a(v), qq.logd,
+            total += _kernel_sum(n, r, wts * ray.density(v), qq.e, qq.a(v), qq.logd,
                                  derivative)
         if not np.all(np.isfinite(total)):
             raise ArithmeticError("component integral overflowed; parameters too extreme")
@@ -176,16 +190,22 @@ def h_many(params: WvggParams, s, rs: np.ndarray, *, derivative: bool = False) -
 def _over_d_integrals(U: ThorinMeasure, mu, sigma: CovMatrix,
                       s) -> tuple[IntegralResult, IntegralResult]:
     """(int A/D dU, int E/D dU) over the open orthant, the real and imaginary
-    parts of one pass of (A + iE)/D.  |E| = |y.z| <= sqrt(q m) <= A at every
-    point (``geometry.quantities``), so one divergence verdict serves both."""
-    mu = as_vector(mu, sigma.n)
-    sv = as_vector(s, sigma.n)
+    parts of (A + iE)/D: summed over the direction's atoms and curve nodes,
+    and integrated with divergence detection along its rays.  |E| = |y.z| <=
+    sqrt(q m) <= A at every point (``geometry.quantities``), so one divergence
+    verdict serves both."""
+    geom = _DirectionGeometry(WvggParams(np.zeros(sigma.n), mu, sigma, U), s)
+    if geom.divergent:
+        return IntegralResult(math.inf, math.inf, True), IntegralResult(math.inf, math.inf, True)
+    nodes = geom.nodes
 
     def g(points, t):
-        qq = quantities(mu, sigma.entries, sv, points)
+        qq = quantities(geom.params.mu, sigma.entries, geom.s, points)
         return (qq.a(t) + 1j * qq.e) * np.exp(-qq.logd)
 
-    res = integrate(U.positive_part(), g)
+    res = integrate([ray for ray, _ in geom.rays], g)
+    if res.finite:
+        res.value += complex(np.sum(geom.weights * (geom.a + 1j * nodes.e) * np.exp(-nodes.logd)))
     return replace(res, value=res.value.real), replace(res, value=res.value.imag)
 
 
@@ -213,8 +233,6 @@ def h_derivative_at_zero(params: WvggParams, s) -> DerivativeAtZero:
     The finiteness of the A/D integral is the standing hypothesis; when it
     fails the limit is not extrapolated and the result is marked inapplicable.
     """
-    if params.n < 2:
-        raise NotApplicableError("polar density needs n >= 2")
     a_res, e_res = _over_d_integrals(params.U, params.mu, params.sigma, s)
     n = params.n
     value = c_n(n) * 2.0 ** ((n - 2) / 2.0) * math.gamma(n / 2.0) * e_res.value

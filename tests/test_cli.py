@@ -37,6 +37,9 @@ WVAG_FIXTURE = {
     ]},
 }
 
+COUNTEREXAMPLE = {"n": 2, "alpha": [1.0, 1.0], "mu": [1.0, 0.0],
+                  "sigma": [[1.0, 0.0], [0.0, 1.0]]}
+
 README_PARAMS = {
     "d": [0, 0], "mu": [1.0, 0.0],
     "sigma": [[1.0, 0.5], [0.5, 1.0]],
@@ -120,6 +123,17 @@ class TestDensityCommand:
         assert r_min == pytest.approx(1e-4)
         assert first[3] == pytest.approx(kappa_bessel(1.0, 2.0 * r_min) / math.pi,
                                          rel=1e-9)
+
+    def test_divergent_direction_exits_2(self, tmp_path, capsys):
+        # circle_theta2 meets the face u_2 = 0 at theta = 0, where s_2 = 0 and
+        # the density diverges like the integral of 1/theta
+        params = dict(README_PARAMS, U={"n": 2, "components": [
+            {"kind": "curve", "curve": "circle_theta2", "interval": [0, 1]}]})
+        cfg = write_config(tmp_path, "d.json", {
+            "command": "density", "params": params,
+            "grids": {"r_count": 5, "s_list": [[1.0, 0.0]]}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "d_")]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: ")
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", {
@@ -244,8 +258,18 @@ class TestErrors:
         ("density", {"s_list": [[1, 0, 1]]}, None),
         ("char-exponent", {"theta_grid": [[0.5, 0.5, 0.5]]}, None),
         ("usp", {}, [1.0, 0.5, 0.2]),
+        ("density", {"r_count": 10.9}, None),
+        ("density", {"s_count": "3"}, None),
+        ("density", {"r_cout": 7}, None),
+        ("density", {"r_max": "50"}, None),
+        ("density", {"r_max": float("inf")}, None),
+        ("density", {"s_list": "0.6,0.8"}, None),
+        ("char-exponent", {"theta_grid": 1.0}, None),
+        ("density", [1, 2], None),
     ], ids=["r_count=1", "r_min=0", "r_min=-1", "r_min>r_max", "zero_direction",
-            "3-vector_s_list", "3-vector_theta", "3-vector_x"])
+            "3-vector_s_list", "3-vector_theta", "3-vector_x", "fractional_r_count",
+            "string_s_count", "typo_key", "string_r_max", "infinite_r_max",
+            "string_s_list", "scalar_theta_grid", "not_an_object"])
     def test_malformed_grid_or_vector(self, tmp_path, capsys, command, grids, x):
         raw = {"command": command, "params": WVAG_FIXTURE, "grids": grids,
                "output": str(tmp_path / "run_")}
@@ -272,6 +296,37 @@ class TestErrors:
                "grids": {"r_count": 10, "s_count": 2}, "output": str(tmp_path / "run_")}
         assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command,block,argv", [
+        ("density", {"seed": 2.9}, []),
+        ("density", {"seed": "7"}, []),
+        ("density", {"seed": -1}, []),
+        ("density", {}, ["--seed", "-1"]),
+        ("counterexample", {"counterexample": {k: v for k, v in COUNTEREXAMPLE.items()
+                                               if k != "alpha"}}, []),
+        ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, c=2)}, []),
+        ("counterexample", {"counterexample": {"n": 1, "alpha": [1.0], "mu": [1.0],
+                                               "sigma": [[1.0]]}}, []),
+        ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, drift=[0.0, 0.0])}, []),
+        ("counterexample", {"counterexample": [2, 0.5]}, []),
+        ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, alpha=[1.0, "a"])}, []),
+        ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, sigma=[1.0, 1.0])}, []),
+    ], ids=["fractional_seed", "string_seed", "negative_seed", "negative_command_line_seed",
+            "missing_alpha", "c=2", "n=1", "typo_key", "not_an_object", "string_in_alpha",
+            "flat_sigma"])
+    def test_malformed_seed_or_counterexample(self, tmp_path, capsys, command, block, argv):
+        raw = {"command": command, "params": WVAG_FIXTURE, "grids": {"r_count": 10},
+               "output": str(tmp_path / "run_"), **block}
+        assert main(["--config", write_config(tmp_path, "c.json", raw), *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_valid_blocks_accepted(self, tmp_path):
+        raw = {"command": "counterexample", "seed": 3,
+               "grids": {"r_min": 1, "r_max": 20, "r_count": 5, "s_count": 2,
+                         "s_list": [], "theta_grid": []},
+               "counterexample": dict(COUNTEREXAMPLE, c=1, d=[0.0, 0.0])}
+        cfg = cli.load_config(write_config(tmp_path, "c.json", raw), None, None, None)
+        assert (cfg.seed, cfg.r_count, cfg.s_count, cfg.counterexample["c"]) == (3, 5, 2, 1)
 
     def test_valid_tolerances_accepted(self, tmp_path):
         raw = {"command": "classify", "params": WVAG_FIXTURE,

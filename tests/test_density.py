@@ -15,7 +15,7 @@ from wvgg.density import (DensityCurve, NotApplicableError, a_over_d_integral,
                           write_density_csv)
 from wvgg.geometry import quantities
 from wvgg.linalg import CovMatrix, random_spd
-from wvgg.measures import (Atom, ThorinMeasure, WvggParams, alpha_gamma_measure,
+from wvgg.measures import (Atom, Curve, Ray, ThorinMeasure, WvggParams, alpha_gamma_measure,
                            beta2_measure, circle_measure, integrate, sdcex_measure)
 
 
@@ -399,14 +399,33 @@ README_MU = np.array([1.0, 0.0])
 README_SIGMA = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
+def over_d_at(u, s):
+    """(A/D, E/D) at one orthant point u from dense solves, with M = u <> Sigma:
+    A = sqrt((2 |u|^2 + |u <> mu|^2_{M^-1}) |s|^2_{M^-1}),
+    E = <s, u <> mu>_{M^-1}, D = |s|^2_{M^-1} |M|^(1/2)."""
+    m = np.minimum.outer(u, u) * README_SIGMA.entries
+    y, z = np.linalg.solve(m, s), np.linalg.solve(m, u * README_MU)
+    q = float(s @ y)
+    d = q * math.sqrt(np.linalg.det(m))
+    return math.sqrt((2.0 * float(u @ u) + float((u * README_MU) @ z)) * q) / d, float(s @ z) / d
+
+
 def real_pass(U, s, numerator):
-    """int numerator(qq, t) / D dU through the component dispatch, one real
-    integrand at a time."""
+    """int numerator(qq, t) / D dU, one real integrand at a time: a sum over
+    each atom and each curve's own rule, and the detector along the rays."""
     def g(points, t):
         qq = quantities(README_MU, README_SIGMA.entries, s, points)
         return numerator(qq, t) * np.exp(-qq.logd)
 
-    return integrate(U.positive_part(), g)
+    positive = U.positive_part()
+    res = integrate([c for c in positive if isinstance(c, Ray)], g)
+    for c in positive:
+        if isinstance(c, Atom):
+            res.value += c.mass * g(c.point[None, :], 1.0).item()
+        elif isinstance(c, Curve):
+            nodes, w = c.rule
+            res.value += float(np.sum(w * g(c.points(nodes), 1.0)))
+    return res
 
 
 class TestOverDIntegrals:
@@ -431,21 +450,12 @@ class TestOverDIntegrals:
 
     @pytest.mark.parametrize("s", [(0.8, 0.6), (0.6, 0.8), (0.95, -0.3)])
     def test_curve_integrals_match_quadrature(self, s):
-        # A = sqrt((2 |u|^2 + |u <> mu|^2_{M^-1}) |s|^2_{M^-1}),
-        # E = <s, u <> mu>_{M^-1}, D = |s|^2_{M^-1} |M|^(1/2), M = u <> Sigma
         s = np.asarray(s)
         U = circle_measure("theta_squared")
         curve = U.curves()[0]
 
         def f(t, part):
-            u = curve.points(np.array([t]))[0]
-            m = np.minimum.outer(u, u) * README_SIGMA.entries
-            y, z = np.linalg.solve(m, s), np.linalg.solve(m, u * README_MU)
-            q = float(s @ y)
-            d = q * math.sqrt(np.linalg.det(m))
-            if part == 0:
-                return math.sqrt((2.0 * float(u @ u) + float((u * README_MU) @ z)) * q) / d
-            return float(s @ z) / d
+            return over_d_at(curve.points(np.array([t]))[0], s)[part]
 
         a_res = a_over_d_integral(U, README_MU, README_SIGMA, s)
         e_res = e_over_d_integral(U, README_MU, README_SIGMA, s)
@@ -474,8 +484,42 @@ class TestOverDIntegrals:
         p = WvggParams(np.zeros(2), README_MU, README_SIGMA, README_MEASURE)
         res = h_derivative_at_zero(p, np.array([0.6, 0.8]))
         assert res.applicable
-        # one ray and one curve component
-        assert len(calls) == 2
+        # the ray; the atom and the curve are sums over fixed nodes
+        assert len(calls) == 1
+
+
+class TestFaceContact:
+    """At s = (1, 0) the unit-circle curves meet the face u_2 = 0 at theta = 0,
+    where |M| vanishes while ||s||_{M^-1} stays bounded: 1/D grows like
+    |M|^(-1/2), that is like 1/theta on circle_theta2 and like theta^(-1/2) on
+    circle_theta."""
+    S = np.array([1.0, 0.0])
+
+    def test_quadratic_curve_diverges(self):
+        U = circle_measure("theta_squared")
+        assert not a_over_d_integral(U, README_MU, README_SIGMA, self.S).finite
+        assert not e_over_d_integral(U, README_MU, README_SIGMA, self.S).finite
+        p = WvggParams(np.zeros(2), README_MU, README_SIGMA, U)
+        assert not h_derivative_at_zero(p, self.S).applicable
+        with pytest.raises(ArithmeticError):
+            density_curve(p, self.S, default_r_grid(1e-4, 1.0, 5))
+
+    def test_linear_curve_matches_substituted_quadrature(self):
+        # theta = x^2 takes the theta^(-1/2) end singularity out of the oracle
+        curve = Curve("circle_theta")
+
+        def f(x, part):
+            return 2.0 * x * over_d_at(curve.points(np.array([x * x]))[0], self.S)[part]
+
+        kink = math.sqrt(math.pi / 4.0)
+        oracle = [quad(lambda x: f(x, part), 0.0, 1.0, points=[kink], epsabs=0,
+                       epsrel=1e-13, limit=400)[0] for part in (0, 1)]
+        U = ThorinMeasure(2, [curve])
+        a_res = a_over_d_integral(U, README_MU, README_SIGMA, self.S)
+        e_res = e_over_d_integral(U, README_MU, README_SIGMA, self.S)
+        assert a_res.finite and e_res.finite
+        assert a_res.value == pytest.approx(oracle[0], rel=1e-7)
+        assert e_res.value == pytest.approx(oracle[1], rel=1e-7)
 
 
 class TestKernelCalls:

@@ -142,7 +142,7 @@ class TestClassifyLadder:
     def test_budget_exhaustion_yields_partial_report(self):
         p = WvggParams(np.zeros(2), np.array([1.0, 0.5]), CORR,
                        circle_measure("theta_squared"))
-        rep = classify(p, Budget(s_samples=24, seed=3, time_limit_s=0.1))
+        rep = classify(p, Budget(s_samples=24, seed=3, time_limit_s=0.0))
         assert rep.verdict == "INCONCLUSIVE"
         assert rep.rule == "budget-exhausted"
         assert any(e.name == "budget_exhausted" for e in rep.evidence)

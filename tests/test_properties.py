@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from wvgg.density import (a_over_d_integral, c_n, e_over_d_integral,
                           h_derivative_at_zero, h_many)
@@ -69,6 +70,40 @@ def test_over_d_integrals_and_derivative_at_zero(case):
     n = params.n
     expected = c_n(n) * 2.0 ** ((n - 2) / 2.0) * math.gamma(n / 2.0) * e_res.value
     assert res.value == pytest.approx(expected, rel=1e-14, abs=1e-300)
+
+
+# where the two coordinates of each unit-circle curve cross
+CURVE_KINKS = {"circle_theta": math.pi / 4.0, "circle_theta2": math.sqrt(math.pi / 4.0)}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(wvgg_case())
+def test_curve_over_d_integrals_match_quadrature(case):
+    # away from the faces s_k = 0 the curve's own rule carries A/D and E/D
+    params, s = case
+    curves = params.U.curves()
+    assume(curves and np.all(np.abs(s) >= 0.1))
+    (curve,) = curves
+    mu, sigma = params.mu, params.sigma.entries
+
+    def f(t, part):
+        u = curve.points(np.array([t]))[0]
+        m = np.minimum.outer(u, u) * sigma
+        y, z = np.linalg.solve(m, s), np.linalg.solve(m, u * mu)
+        q = float(s @ y)
+        d = q * math.sqrt(np.linalg.det(m))
+        if part == 0:
+            return math.sqrt((2.0 * float(u @ u) + float((u * mu) @ z)) * q) / d
+        return float(s @ z) / d
+
+    a_ref, e_ref = (quad(lambda t: f(t, part), 0.0, 1.0, points=[CURVE_KINKS[curve.curve]],
+                         epsabs=0, epsrel=1e-13, limit=400)[0] for part in (0, 1))
+    U = ThorinMeasure(2, [curve])
+    a_res = a_over_d_integral(U, params.mu, params.sigma, s)
+    e_res = e_over_d_integral(U, params.mu, params.sigma, s)
+    assert abs(a_res.value - a_ref) <= 1e-12 * a_ref
+    assert abs(e_res.value - e_ref) <= 1e-12 * a_ref
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None,

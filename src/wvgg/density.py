@@ -18,10 +18,11 @@ Each direction is discretised once, for h, dh and the A/D and E/D integrals:
   weighted point set whose geometric quantities are cached per direction,
   and every integral over them is a plain weighted sum;
 * rays u = v * alpha: E and D are invariant along the ray while
-  A(s, v alpha)^2 = (2 v ||alpha||^2 + m) q (``geometry.quantities``), so a
-  single radial quadrature remains (for h graded against density poles via a
-  power substitution, truncated where the Bessel kernel is spent; for A/D
-  and E/D the divergence detector);
+  A(s, v alpha)^2 = (2 v ||alpha||^2 + m) q (``geometry.quantities``): h
+  keeps one radial quadrature (graded against density poles via a power
+  substitution, truncated where the Bessel kernel is spent), and A/D and E/D
+  scale the ray's two direction-free moments, which the divergence detector
+  finds once per ray and parameter set (``WvggParams.ray_moments``);
 * a curve meeting the face u_k = 0 at a direction with s_k = 0 makes |M|
   vanish while q stays bounded, so every integrand there grows like 1/D: the
   detector decides int 1/D over such curves once, and where it diverges h
@@ -41,7 +42,7 @@ import numpy as np
 from .bessel import kappa_log_grid
 from .geometry import Quantities, quantities
 from .linalg import CovMatrix, as_vector, diamond_mat_raw
-from .measures import Atom, Ray, RayDensity, ThorinMeasure, WvggParams, integrate
+from .measures import Atom, Ray, RayDensity, WvggParams, integrate
 from .quadrature import IntegralResult, gauss_nodes
 from .quadrature import improper_integral  # noqa: F401  (perfbench/tracing.py patches this binding)
 
@@ -187,36 +188,38 @@ def h_many(params: WvggParams, s, rs: np.ndarray, *, derivative: bool = False) -
 
 # -- moment integrals against the measure -------------------------------------
 
-def _over_d_integrals(U: ThorinMeasure, mu, sigma: CovMatrix,
-                      s) -> tuple[IntegralResult, IntegralResult]:
+def _over_d_integrals(params: WvggParams, s) -> tuple[IntegralResult, IntegralResult]:
     """(int A/D dU, int E/D dU) over the open orthant, the real and imaginary
     parts of (A + iE)/D: summed over the direction's atoms and curve nodes,
-    and integrated with divergence detection along its rays.  |E| = |y.z| <=
-    sqrt(q m) <= A at every point (``geometry.quantities``), so one divergence
-    verdict serves both."""
-    geom = _DirectionGeometry(WvggParams(np.zeros(sigma.n), mu, sigma, U), s)
+    and on each ray u = v alpha built from its direction-free moments
+    (``WvggParams.ray_moments``) as exp(-ln D) (sqrt(q) int sqrt(2 v
+    ||alpha||^2 + m) w dv + i E int w dv).  |E| = |y.z| <= sqrt(q m) <= A at
+    every point (``geometry.quantities``), so one divergence verdict serves
+    both."""
+    geom = _DirectionGeometry(params, s)
     if geom.divergent:
         return IntegralResult(math.inf, math.inf, True), IntegralResult(math.inf, math.inf, True)
     nodes = geom.nodes
-
-    def g(points, t):
-        qq = quantities(geom.params.mu, sigma.entries, geom.s, points)
-        return (qq.a(t) + 1j * qq.e) * np.exp(-qq.logd)
-
-    res = integrate([ray for ray, _ in geom.rays], g)
-    if res.finite:
-        res.value += complex(np.sum(geom.weights * (geom.a + 1j * nodes.e) * np.exp(-nodes.logd)))
+    res = IntegralResult(
+        complex(np.sum(geom.weights * (geom.a + 1j * nodes.e) * np.exp(-nodes.logd))), 0.0, False)
+    for (_, qq), mom in zip(geom.rays, params.ray_moments):
+        if not mom.finite:
+            return replace(mom, value=mom.value.real), replace(mom, value=mom.value.imag)
+        scale, root_q, e = math.exp(-qq.logd[0]), math.sqrt(qq.q[0]), float(qq.e[0])
+        res.value += scale * complex(root_q * mom.value.real, e * mom.value.imag)
+        res.error += scale * max(root_q, abs(e)) * mom.error
+        res.rounds += mom.rounds
     return replace(res, value=res.value.real), replace(res, value=res.value.imag)
 
 
-def a_over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s) -> IntegralResult:
+def a_over_d_integral(params: WvggParams, s) -> IntegralResult:
     """int A(s,u) dU(u) / D(s,u) over the open orthant, with divergence detection."""
-    return _over_d_integrals(U, mu, sigma, s)[0]
+    return _over_d_integrals(params, s)[0]
 
 
-def e_over_d_integral(U: ThorinMeasure, mu, sigma: CovMatrix, s) -> IntegralResult:
+def e_over_d_integral(params: WvggParams, s) -> IntegralResult:
     """int E(s,u) dU(u) / D(s,u) over the open orthant; divergent wherever A/D is."""
-    return _over_d_integrals(U, mu, sigma, s)[1]
+    return _over_d_integrals(params, s)[1]
 
 
 @dataclass
@@ -233,7 +236,7 @@ def h_derivative_at_zero(params: WvggParams, s) -> DerivativeAtZero:
     The finiteness of the A/D integral is the standing hypothesis; when it
     fails the limit is not extrapolated and the result is marked inapplicable.
     """
-    a_res, e_res = _over_d_integrals(params.U, params.mu, params.sigma, s)
+    a_res, e_res = _over_d_integrals(params, s)
     n = params.n
     value = c_n(n) * 2.0 ** ((n - 2) / 2.0) * math.gamma(n / 2.0) * e_res.value
     return DerivativeAtZero(a_res.finite, value if a_res.finite else None, a_res, e_res)

@@ -339,19 +339,21 @@ def _ladder(params: WvggParams, budget: Budget, tag: SubclassTag,
     # 8: sampled cone directions with finite A/D and positive E/D integrals
     samples = _sample_sphere_directions(params, budget)
     accepted: list[np.ndarray] = []
+    note = f"of {len(samples)} sphere samples"
     if n <= 4:
         ctx = QuantityContext(params.mu, params.sigma)
         for s in samples:
             if v_plus_member(ctx, s).member is True:
                 accepted.append(s)
             deadline()
-    evidence.append(Evidence("cone_samples_accepted", float(len(accepted)),
-                             note=f"of {len(samples)} sphere samples"))
+    else:
+        note += "; cone membership is not checked above n = 4"
+    evidence.append(Evidence("cone_samples_accepted", float(len(accepted)), note=note))
     if accepted:
         positive_e = []
         for s in accepted:
             # E/D reads divergent wherever A/D does (one pass gives both)
-            e_res = e_over_d_integral(params.U, params.mu, params.sigma, s)
+            e_res = e_over_d_integral(params, s)
             if e_res.finite and e_res.value > 1e-12:
                 positive_e.append(e_res.value)
             deadline()
@@ -379,7 +381,10 @@ def _ladder(params: WvggParams, budget: Budget, tag: SubclassTag,
         if _enough(sum(h0_positive), len(h0_positive)):
             yield "NOT_SD", "Thm3.2(iii)-numeric"
 
-    scan = monotonicity_scan(params, scanned, budget.r_grid)
+    scan = []
+    for s in scanned:
+        scan += monotonicity_scan(params, [s], budget.r_grid)
+        deadline()
     increases = [v for v in scan if not v.nonincreasing]
     evidence.append(Evidence("strict_increase_fraction", len(increases) / len(scan),
                              tol=POSITIVE_FRACTION))
@@ -413,18 +418,18 @@ def _on_unit_sphere(components) -> bool:
     return True
 
 
-def equivalent_conditions(U: ThorinMeasure, ctx: QuantityContext, s) -> EquivalenceReport:
+def equivalent_conditions(params: WvggParams, s) -> EquivalenceReport:
     """Shape-specific equivalents of the A/D integrability, cross-checked
     against the direct quadrature; the two verdicts must agree."""
-    sv = as_vector(s, ctx.n)
-    positive = U.positive_part()
+    n = params.n
+    sv = as_vector(s, n)
+    positive = params.U.positive_part()
     kinds = {type(c) for c in positive}
-    direct = a_over_d_integral(U, ctx.mu, ctx.sigma, sv)
-    n = ctx.n
+    direct = a_over_d_integral(params, sv)
 
     def sphere_weight(points, t):
         # ||s||^(1-n)_{M^-1} / sqrt(prod u) at u = t * points
-        q = quantities(ctx.mu, ctx.sigma.entries, sv, points).q / t
+        q = quantities(params.mu, params.sigma.entries, sv, points).q / t
         return q ** ((1.0 - n) / 2.0) / np.sqrt(t ** n * np.prod(points, axis=-1))
 
     clause = "direct-only"
@@ -434,7 +439,7 @@ def equivalent_conditions(U: ThorinMeasure, ctx: QuantityContext, s) -> Equivale
         equiv = integrate(positive, sphere_weight)
     elif Ray in kinds and Curve not in kinds:
         clause = "(iii)"
-        tails = ray_half_moment(U, tail_only=True)
+        tails = ray_half_moment(params.U, tail_only=True)
         divergent = any(not m.result.finite for m in tails)
         total = math.inf if divergent else sum(m.result.value for m in tails)
         equiv = IntegralResult(total, 0.0, divergent)

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import quantities
 from .linalg import CovMatrix, DimensionError, as_vector
 from .quadrature import IntegralResult, gauss_nodes, improper_integral
 
@@ -52,6 +53,8 @@ class RayDensity:
     ``pole_at_0``: exponent p with w(v) ~ (v - lo)^p at the lower support end
     (0 when bounded); ``decay_at_inf``: exponent q with w(v) ~ v^q at infinity.
     The hints drive quadrature grading only; verdicts never trust them.
+    ``half_moment``: the exact int v^(1/2) w(v) dv (inf when it diverges), or
+    None to leave it to the divergence detector.
     """
     name: str
     params: dict
@@ -60,6 +63,7 @@ class RayDensity:
     support_hi: float = math.inf
     pole_at_0: float = 0.0
     decay_at_inf: float = 0.0
+    half_moment: float | None = None
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(v, dtype=float))
@@ -79,8 +83,11 @@ def _beta2_density(params: dict) -> RayDensity:
         out[pos] = norm * v[pos] ** (a - 1.0) * (1.0 + v[pos]) ** (-a - b)
         return out
 
+    # B(a + 1/2, b - 1/2) / B(a, b), finite only for b > 1/2
+    half = (math.exp(math.lgamma(a + 0.5) + math.lgamma(b - 0.5) - math.lgamma(a)
+                     - math.lgamma(b)) if b > 0.5 else math.inf)
     return RayDensity("beta2", {"a": a, "b": b}, w,
-                      pole_at_0=a - 1.0, decay_at_inf=-(1.0 + b))
+                      pole_at_0=a - 1.0, decay_at_inf=-(1.0 + b), half_moment=half)
 
 
 def _power_cut_density(params: dict) -> RayDensity:
@@ -432,7 +439,8 @@ class RayMoment:
 def ray_half_moment(measure: ThorinMeasure, *, tail_only: bool = False) -> list[RayMoment]:
     """Per-ray int v^(1/2) dU_k (or the tail over (1, inf)); requires the
     positive-orthant part to be ray-supported (an atom is a point mass on its
-    own direction)."""
+    own direction).  A density's exact ``half_moment`` replaces the detector
+    on the full moment."""
     positive = measure.positive_part()
     if any(isinstance(c, Curve) for c in positive):
         raise NotRaySupported("positive-orthant mass carried by a curve component")
@@ -442,6 +450,12 @@ def ray_half_moment(measure: ThorinMeasure, *, tail_only: bool = False) -> list[
             v0 = float(np.linalg.norm(comp.point))
             val = comp.mass * math.sqrt(v0) if (not tail_only or v0 > 1.0) else 0.0
             out.append(RayMoment(comp.point / v0, IntegralResult(val, 0.0, False)))
+            continue
+        exact = comp.density.half_moment
+        if exact is not None and not tail_only:
+            finite = math.isfinite(exact)
+            out.append(RayMoment(comp.direction, IntegralResult(
+                exact, 0.0 if finite else math.inf, not finite)))
             continue
         lo = comp.density.support_lo
         hi = comp.density.support_hi
@@ -477,6 +491,23 @@ class WvggParams:
     @property
     def n(self) -> int:
         return self.sigma.n
+
+    @cached_property
+    def ray_moments(self) -> list[IntegralResult]:
+        """For each positive-part ray u = v alpha, in order, one detector run of
+        int (sqrt(2 v ||alpha||^2 + m) + i) w(v) dv, m = ||alpha <> mu||^2 in
+        the inverse of alpha <> Sigma: the A moment and the mass under one
+        verdict.  A(s, v alpha) = sqrt(q_s) times the real integrand while E_s
+        and D_s do not depend on v (``geometry.quantities``), so every
+        direction's A/D and E/D reuse these; Sigma must be invertible."""
+        out = []
+        for ray in self.U.positive_part():
+            if isinstance(ray, Ray):
+                qq = quantities(self.mu, self.sigma.entries, ray.direction,
+                                ray.direction[None, :])
+                out.append(integrate_component(
+                    ray, lambda points, t: np.sqrt(2.0 * t * qq.uu + qq.m) + 1j))
+        return out
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -232,6 +232,63 @@ class TestCharExponentCommand:
             assert float(row["re_psi"]) == pytest.approx(-math.log(1.5))
 
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+class TestReadmeGoldenOutputs:
+    """The README example's classify report, one density direction and two
+    characteristic-exponent thetas, against outputs captured before the rays'
+    A/D and E/D moved to direction-free moments.  Values on fixed node rules
+    must agree to 1e-12 relative, values that rest on the divergence detector
+    to 1e-9."""
+    DETECTOR_EVIDENCE = {"moment_strong", "min_mean_positivity"}
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("readme")
+        cfg = os.path.join(FIXTURES, "readme_config.json")
+        for command in ("classify", "density", "char-exponent"):
+            assert main([command, "--config", cfg, "--out", str(out / "run_")]) == 0
+        return out
+
+    @staticmethod
+    def table(path):
+        with open(path) as fh:
+            header = fh.readline()
+            return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+    def test_classify_report(self, outputs):
+        new = json.loads((outputs / "run_report.json").read_text())
+        with open(os.path.join(FIXTURES, "readme_report.json")) as fh:
+            ref = json.load(fh)
+        assert {k: v for k, v in new.items() if k != "evidence"} == {
+            k: v for k, v in ref.items() if k != "evidence"}
+        assert [(e["name"], e.get("note")) for e in new["evidence"]] == [
+            (e["name"], e.get("note")) for e in ref["evidence"]]
+        for e, r in zip(new["evidence"], ref["evidence"]):
+            rel = 1e-9 if e["name"] in self.DETECTOR_EVIDENCE else 1e-12
+            for key in ("value", "tol"):
+                assert e[key] == (r[key] if isinstance(r[key], str)
+                                  else pytest.approx(r[key], rel=rel, abs=0))
+
+    def test_density_direction(self, outputs):
+        header, new = self.table(outputs / "run_density_00.csv")
+        ref_header, ref = self.table(os.path.join(FIXTURES, "readme_density_00.csv"))
+        assert header == ref_header and new.shape == ref.shape
+        np.testing.assert_array_equal(new[:, :3], ref[:, :3])
+        np.testing.assert_allclose(new[:, 3], ref[:, 3], rtol=1e-12, atol=0)
+        # dh changes sign once, so its check also allows 1e-15 of its largest value
+        np.testing.assert_allclose(new[:, 4], ref[:, 4], rtol=1e-12,
+                                   atol=1e-15 * np.abs(ref[:, 4]).max())
+
+    def test_char_exponent(self, outputs):
+        header, new = self.table(outputs / "run_char_exponent.csv")
+        ref_header, ref = self.table(os.path.join(FIXTURES, "readme_char_exponent.csv"))
+        assert header == ref_header and new.shape == ref.shape
+        np.testing.assert_array_equal(new[:, :2], ref[:, :2])
+        np.testing.assert_allclose(new[:, 2:], ref[:, 2:], rtol=1e-9, atol=0)
+
+
 class TestErrors:
     def test_missing_config(self, capsys):
         assert main(["classify", "--config", "/nonexistent.json"]) == 1

@@ -399,6 +399,10 @@ README_MU = np.array([1.0, 0.0])
 README_SIGMA = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
+def readme_params(U):
+    return WvggParams(np.zeros(2), README_MU, README_SIGMA, U)
+
+
 def over_d_at(u, s):
     """(A/D, E/D) at one orthant point u from dense solves, with M = u <> Sigma:
     A = sqrt((2 |u|^2 + |u <> mu|^2_{M^-1}) |s|^2_{M^-1}),
@@ -437,9 +441,9 @@ class TestOverDIntegrals:
     ], ids=["alpha_gamma", "beta2_ray", "circle_theta2", "readme"])
     @pytest.mark.parametrize("s", [(0.6, 0.8), (0.8, -0.6), (-0.28, 0.96)])
     def test_one_pass_matches_separate_real_passes(self, U, s):
-        s = np.asarray(s)
-        a_res = a_over_d_integral(U, README_MU, README_SIGMA, s)
-        e_res = e_over_d_integral(U, README_MU, README_SIGMA, s)
+        s, p = np.asarray(s), readme_params(U)
+        a_res = a_over_d_integral(p, s)
+        e_res = e_over_d_integral(p, s)
         a_ref = real_pass(U, s, lambda qq, t: qq.a(t))
         e_ref = real_pass(U, s, lambda qq, t: qq.e)
         assert a_res.finite and e_res.finite and a_ref.finite and e_ref.finite
@@ -457,8 +461,8 @@ class TestOverDIntegrals:
         def f(t, part):
             return over_d_at(curve.points(np.array([t]))[0], s)[part]
 
-        a_res = a_over_d_integral(U, README_MU, README_SIGMA, s)
-        e_res = e_over_d_integral(U, README_MU, README_SIGMA, s)
+        a_res = a_over_d_integral(readme_params(U), s)
+        e_res = e_over_d_integral(readme_params(U), s)
         assert a_res.value == pytest.approx(kink_split_quad(lambda t: f(t, 0)), rel=1e-12)
         assert e_res.value == pytest.approx(kink_split_quad(lambda t: f(t, 1)), rel=1e-12)
 
@@ -467,9 +471,9 @@ class TestOverDIntegrals:
         # so A/D has a v^-0.8 tail
         U = beta2_measure(1.0, 0.3, [1.0, 1.0])
         s = np.array([0.6, 0.8])
-        assert not a_over_d_integral(U, README_MU, README_SIGMA, s).finite
-        assert not e_over_d_integral(U, README_MU, README_SIGMA, s).finite
-        p = WvggParams(np.zeros(2), README_MU, README_SIGMA, U)
+        p = readme_params(U)
+        assert not a_over_d_integral(p, s).finite
+        assert not e_over_d_integral(p, s).finite
         assert not h_derivative_at_zero(p, s).applicable
 
     def test_derivative_at_zero_integrates_each_component_once(self, monkeypatch):
@@ -481,10 +485,11 @@ class TestOverDIntegrals:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(measures, "improper_integral", counted)
-        p = WvggParams(np.zeros(2), README_MU, README_SIGMA, README_MEASURE)
-        res = h_derivative_at_zero(p, np.array([0.6, 0.8]))
-        assert res.applicable
-        # the ray; the atom and the curve are sums over fixed nodes
+        p = readme_params(README_MEASURE)
+        for s in ((0.6, 0.8), (0.8, -0.6), (-0.28, 0.96)):
+            assert h_derivative_at_zero(p, np.array(s)).applicable
+        # the ray's moments, once for every direction; the atom and the
+        # curve are sums over fixed nodes
         assert len(calls) == 1
 
 
@@ -497,9 +502,9 @@ class TestFaceContact:
 
     def test_quadratic_curve_diverges(self):
         U = circle_measure("theta_squared")
-        assert not a_over_d_integral(U, README_MU, README_SIGMA, self.S).finite
-        assert not e_over_d_integral(U, README_MU, README_SIGMA, self.S).finite
-        p = WvggParams(np.zeros(2), README_MU, README_SIGMA, U)
+        p = readme_params(U)
+        assert not a_over_d_integral(p, self.S).finite
+        assert not e_over_d_integral(p, self.S).finite
         assert not h_derivative_at_zero(p, self.S).applicable
         with pytest.raises(ArithmeticError):
             density_curve(p, self.S, default_r_grid(1e-4, 1.0, 5))
@@ -515,8 +520,8 @@ class TestFaceContact:
         oracle = [quad(lambda x: f(x, part), 0.0, 1.0, points=[kink], epsabs=0,
                        epsrel=1e-13, limit=400)[0] for part in (0, 1)]
         U = ThorinMeasure(2, [curve])
-        a_res = a_over_d_integral(U, README_MU, README_SIGMA, self.S)
-        e_res = e_over_d_integral(U, README_MU, README_SIGMA, self.S)
+        a_res = a_over_d_integral(readme_params(U), self.S)
+        e_res = e_over_d_integral(readme_params(U), self.S)
         assert a_res.finite and e_res.finite
         assert a_res.value == pytest.approx(oracle[0], rel=1e-7)
         assert e_res.value == pytest.approx(oracle[1], rel=1e-7)

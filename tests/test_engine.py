@@ -1,19 +1,20 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from wvgg import engine
+from wvgg.density import MonotonicityVerdict, default_r_grid
 from wvgg.engine import (Budget, Counterexample, VerificationError,
                          build_sd_counterexample, classify,
                          equivalent_conditions, gstar, gstar_deriv,
                          gstar_f_values, identify_subclass, _sphere_grid)
-from wvgg.geometry import QuantityContext
 from wvgg.linalg import CovMatrix, random_spd
 from wvgg.measures import (Atom, Curve, Ray, ThorinMeasure, WvggParams,
                            alpha_gamma_measure, beta2_measure, circle_measure,
                            make_ray_density, sdcex_measure)
-from wvgg.density import default_r_grid
 from wvgg.quadrature import improper_integral
 
 CORR = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -166,12 +167,52 @@ class TestClassifyLadder:
 
     @pytest.mark.parametrize("audit", [False, True])
     def test_exhausted_budget_keeps_evidence_gathered_so_far(self, audit):
+        # the half moment of beta2(1, 0.3) diverges, so rule 6 does not fire
         p = WvggParams(np.zeros(2), np.array([1.0, 0.5]), CORR,
-                       beta2_measure(1.0, 0.52, [1.0, 1.0]))
+                       beta2_measure(1.0, 0.3, [1.0, 1.0]))
         rep = classify(p, Budget(seed=3, time_limit_s=0.0), audit=audit)
         assert (rep.verdict, rep.rule, rep.numeric_only) == (
             "INCONCLUSIVE", "budget-exhausted", True)
         assert [e.name for e in rep.evidence] == ["ray_half_moment[0]", "budget_exhausted"]
+
+    def test_half_moment_near_the_detector_band_is_exact(self):
+        # the detector reads tail exponents in (-1.05, -1] as divergent; the
+        # beta2 half moment B(3/2, 0.02) / B(1, 0.52) is finite
+        p = WvggParams(np.zeros(2), np.array([1.0, 0.5]), CORR,
+                       beta2_measure(1.0, 0.52, [1.0, 1.0]))
+        rep = classify(p, Budget(seed=7))
+        assert (rep.verdict, rep.rule, rep.numeric_only) == ("NOT_SD", "Cor3.3(ii)", False)
+        (moment,) = [e for e in rep.evidence if e.name == "ray_half_moment[0]"]
+        expected = math.exp(math.lgamma(1.5) + math.lgamma(0.02) - math.lgamma(0.52))
+        assert moment.value == pytest.approx(expected, rel=1e-14)
+        assert moment.tol == 0.0
+
+    def test_radial_scan_checks_the_deadline_after_each_direction(self, monkeypatch):
+        # a fake clock that only the radial scan advances, by 10 s a call
+        clock, scanned = [0.0], []
+
+        def scan(params, s_samples, r_grid=None, **kwargs):
+            clock[0] += 10.0
+            scanned.append(len(s_samples))
+            return [MonotonicityVerdict(s, True, None, 0.0) for s in s_samples]
+
+        monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(engine, "monotonicity_scan", scan)
+        # the half moment and A/D diverge on this ray, so no rule fires
+        # before the radial scan
+        p = WvggParams(np.zeros(2), np.array([1.0, 0.5]), CORR,
+                       beta2_measure(1.0, 0.3, [1.0, 2.0]))
+        rep = classify(p, Budget(s_samples=8, scan_directions=4, seed=9, time_limit_s=1.0))
+        assert (rep.verdict, rep.rule) == ("INCONCLUSIVE", "budget-exhausted")
+        assert scanned == [1]
+
+    def test_cone_evidence_says_membership_is_unchecked_above_n_4(self):
+        p = WvggParams(np.zeros(5), np.ones(5), CovMatrix(np.eye(5)),
+                       beta2_measure(1.0, 0.3, np.ones(5)))
+        rep = classify(p, Budget(s_samples=4, scan_directions=0, seed=1))
+        (cone,) = [e for e in rep.evidence if e.name == "cone_samples_accepted"]
+        assert (cone.value, cone.note) == (
+            0.0, "of 4 sphere samples; cone membership is not checked above n = 4")
 
     def test_radial_scan_runs_on_the_budget_grid(self):
         # A/D diverges on this ray, so rule 9 rests on the radial scan
@@ -205,20 +246,22 @@ class TestClassifyLadder:
         assert any(r in fired for r in ("Thm3.2(iii)-numeric", "Thm3.2(ii)-numeric"))
 
 
+def equivalence(U, mu=(1.0, 0.0), sigma=CORR, s=(0.6, 0.8)):
+    params = WvggParams(np.zeros(2), np.asarray(mu, dtype=float), sigma, U)
+    return equivalent_conditions(params, np.asarray(s, dtype=float))
+
+
 class TestEquivalentConditions:
     def test_atoms_away_from_origin(self):
         U = ThorinMeasure(2, [Atom(1.0, np.array([1.0, 2.0])),
                               Atom(0.5, np.array([0.7, 0.7]))])
-        ctx = QuantityContext(np.array([1.0, 0.0]), CORR)
-        rep = equivalent_conditions(U, ctx, np.array([0.6, 0.8]))
+        rep = equivalence(U)
         assert rep.clause == "(i)"
         assert rep.agree and rep.equivalent_finite and rep.direct_finite
 
     def test_sphere_supported_quadratic_curve(self):
         sigma = CovMatrix(np.array([[1.3, 0.2], [0.2, 0.9]]))
-        ctx = QuantityContext(np.array([1.0, 0.5]), sigma)
-        s = np.array([0.6, 0.8])
-        rep = equivalent_conditions(circle_measure("theta_squared"), ctx, s)
+        rep = equivalence(circle_measure("theta_squared"), mu=(1.0, 0.5), sigma=sigma)
         assert rep.clause == "(ii)"
         assert rep.agree and rep.equivalent_finite and rep.direct_finite
 
@@ -236,23 +279,20 @@ class TestEquivalentConditions:
 
     def test_ray_supported_tail_moments(self):
         U = beta2_measure(1.0, 2.0, [1.0, 1.0])
-        ctx = QuantityContext(np.array([1.0, 0.0]), CORR)
-        rep = equivalent_conditions(U, ctx, np.array([0.6, 0.8]))
+        rep = equivalence(U)
         assert rep.clause == "(iii)"
         assert rep.agree and rep.equivalent_finite
 
     def test_ray_supported_divergent(self):
         U = sdcex_measure(2.0, 1.0, 0.5, 1.0, [1.0, 1.0])
-        ctx = QuantityContext(np.array([1.0, 0.0]), CovMatrix(np.eye(2)))
-        rep = equivalent_conditions(U, ctx, np.array([0.6, 0.8]))
+        rep = equivalence(U, sigma=CovMatrix(np.eye(2)))
         assert rep.clause == "(iii)"
         assert rep.agree and rep.equivalent_finite is False and not rep.direct_finite
 
     def test_mixed_shapes_fall_back_to_direct_quadrature(self):
         U = ThorinMeasure(2, [Atom(0.5, np.array([0.2, 0.3])),
                               Curve("circle_theta", (0.0, 1.0))])
-        ctx = QuantityContext(np.array([1.0, 0.0]), CORR)
-        rep = equivalent_conditions(U, ctx, np.array([0.6, 0.8]))
+        rep = equivalence(U)
         assert rep.clause == "direct-only"
         assert rep.agree
 
@@ -274,11 +314,9 @@ class TestEquivalentConditions:
         fixtures.append(ThorinMeasure(2, [Atom(1.0, np.array([2.0, 1.0])),
                                           Atom(0.3, np.array([1.0, 1.0]))]))
         assert len(fixtures) >= 20
-        ctx = QuantityContext(np.array([0.8, -0.4]),
-                              CovMatrix(np.array([[1.0, 0.3], [0.3, 1.1]])))
-        s = np.array([0.6, 0.8])
+        sigma = CovMatrix(np.array([[1.0, 0.3], [0.3, 1.1]]))
         for U in fixtures:
-            rep = equivalent_conditions(U, ctx, s)
+            rep = equivalence(U, (0.8, -0.4), sigma)
             assert rep.agree, f"verdict mismatch for {U}"
 
 

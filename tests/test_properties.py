@@ -18,7 +18,7 @@ from wvgg.density import (a_over_d_integral, c_n, e_over_d_integral,
                           h_derivative_at_zero, h_many)
 from wvgg.geometry import quantities
 from wvgg.linalg import CovMatrix
-from wvgg.measures import (Atom, Curve, Ray, ThorinMeasure, WvggParams,
+from wvgg.measures import (Atom, Curve, Ray, ThorinMeasure, WvggParams, integrate,
                            make_ray_density)
 
 
@@ -59,8 +59,8 @@ def wvgg_case(draw):
 @given(wvgg_case())
 def test_over_d_integrals_and_derivative_at_zero(case):
     params, s = case
-    a_res = a_over_d_integral(params.U, params.mu, params.sigma, s)
-    e_res = e_over_d_integral(params.U, params.mu, params.sigma, s)
+    a_res = a_over_d_integral(params, s)
+    e_res = e_over_d_integral(params, s)
     assert a_res.finite == e_res.finite
     res = h_derivative_at_zero(params, s)
     assert res.applicable == a_res.finite
@@ -70,6 +70,37 @@ def test_over_d_integrals_and_derivative_at_zero(case):
     n = params.n
     expected = c_n(n) * 2.0 ** ((n - 2) / 2.0) * math.gamma(n / 2.0) * e_res.value
     assert res.value == pytest.approx(expected, rel=1e-14, abs=1e-300)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(wvgg_case())
+def test_over_d_integrals_match_per_direction_ray_quadrature(case):
+    # reference: the detector on (A + iE)/D along each ray at s itself, plus
+    # the sums over the atoms and each curve's own rule; with every s_k != 0
+    # no curve meets a face where the direction is zero
+    params, s = case
+    assume(np.all(s != 0))
+    mu, sigma = params.mu, params.sigma.entries
+
+    def g(points, t):
+        qq = quantities(mu, sigma, s, points)
+        return (qq.a(t) + 1j * qq.e) * np.exp(-qq.logd)
+
+    positive = params.U.positive_part()
+    ref = integrate([c for c in positive if isinstance(c, Ray)], g)
+    a_res, e_res = a_over_d_integral(params, s), e_over_d_integral(params, s)
+    assert a_res.finite == e_res.finite == ref.finite
+    if not ref.finite:
+        return
+    for c in positive:
+        if isinstance(c, Atom):
+            ref.value += c.mass * g(c.point[None, :], 1.0).item()
+        elif isinstance(c, Curve):
+            nodes, w = c.rule
+            ref.value += complex(np.sum(w * g(c.points(nodes), 1.0)))
+    assert abs(a_res.value - ref.value.real) <= 1e-12 * a_res.value
+    assert abs(e_res.value - ref.value.imag) <= 1e-12 * a_res.value
 
 
 # where the two coordinates of each unit-circle curve cross
@@ -99,9 +130,9 @@ def test_curve_over_d_integrals_match_quadrature(case):
 
     a_ref, e_ref = (quad(lambda t: f(t, part), 0.0, 1.0, points=[CURVE_KINKS[curve.curve]],
                          epsabs=0, epsrel=1e-13, limit=400)[0] for part in (0, 1))
-    U = ThorinMeasure(2, [curve])
-    a_res = a_over_d_integral(U, params.mu, params.sigma, s)
-    e_res = e_over_d_integral(U, params.mu, params.sigma, s)
+    curve_only = WvggParams(params.d, params.mu, params.sigma, ThorinMeasure(2, [curve]))
+    a_res = a_over_d_integral(curve_only, s)
+    e_res = e_over_d_integral(curve_only, s)
     assert abs(a_res.value - a_ref) <= 1e-12 * a_ref
     assert abs(e_res.value - e_ref) <= 1e-12 * a_ref
 

@@ -144,6 +144,9 @@ def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:
     """Rows h_s and, with ``derivative``, its radial derivative (zeros
     without) at each radius of rs, from the component sums in exp-assembled
     form."""
+    rs = np.asarray(rs, dtype=float)
+    if not np.all(np.isfinite(rs) & (rs > 0.0)):
+        raise ValueError("radius must be positive and finite")
     if geom.divergent:
         raise ArithmeticError("density diverges at this direction: a curve meets "
                               "the orthant face where the direction is zero")
@@ -170,15 +173,11 @@ def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:
 
 def h_density(params: WvggParams, s, r: float) -> float:
     """Polar density h_s(r); nonnegative, n >= 2."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
     return float(_h_terms(_DirectionGeometry(params, s), [r], derivative=False)[0, 0])
 
 
 def h_derivative(params: WvggParams, s, r: float) -> float:
     """Radial derivative of h_s at r, computed under the integral."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
     return float(_h_terms(_DirectionGeometry(params, s), [r], derivative=True)[1, 0])
 
 

@@ -10,14 +10,14 @@ E is invariant under positive scaling of u, and the infimum of E(x, .) over
 the open positive orthant reduces, per coordinate permutation, to a minimum
 over ratio vectors v in [0,1]^(n-1) of  mu (Delta_n(v) * Sigma)^{-1} x'.  That
 ratio form extends continuously to the faces of the box (the Hadamard product
-Delta_n(v) * Sigma stays invertible there), and the cone search runs on it,
-from the vertices of the closed box; reconstructing u from near-face ratio
-vectors is numerically hopeless.
+Delta_n(v) * Sigma stays invertible there), and the cone search evaluates it
+at the vertices of the closed box for every permutation in one batched solve:
+exact for n <= 3, an upper bound on the infimum above.  Reconstructing u from
+near-face ratio vectors is numerically hopeless.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,9 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import CovMatrix, DimensionError, as_vector, delta_matrix_batch, diamond_mat_raw
-from .quadrature import golden_section
-
-BOUNDARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -142,77 +139,39 @@ def u_from_ratios(v: np.ndarray) -> np.ndarray:
 
 def _ratio_objective_batch(mu_p: np.ndarray, sigma_p: np.ndarray, x_p: np.ndarray,
                            vs: np.ndarray) -> np.ndarray:
-    """mu (Delta_n(v) * Sigma)^{-1} x' over a batch of ratio vectors."""
-    deltas = delta_matrix_batch(vs) * sigma_p[None, :, :]
-    sols = np.linalg.solve(deltas, np.broadcast_to(x_p, (vs.shape[0], x_p.size))[..., None])
-    return np.einsum("k,mk->m", mu_p, sols[..., 0])
-
-
-def _coordinate_descent(fun, v0: np.ndarray, sweeps: int = 40) -> tuple[np.ndarray, float]:
-    """Cyclic golden-section descent of fun over the closed box [0,1]^(n-1)."""
-    v = v0.copy()
-    best = fun(v)
-    for _ in range(sweeps):
-        improved = best
-        for k in range(v.size):
-            vk = v.copy()
-
-            def f1(t):
-                vk[k] = t
-                return fun(vk)
-
-            t_best, f_best = golden_section(f1, 0.0, 1.0, iters=60, tol=1e-13)
-            for t_cand in (0.0, 1.0):
-                vk[k] = t_cand
-                f_cand = fun(vk)
-                if f_cand < f_best:
-                    t_best, f_best = t_cand, f_cand
-            if f_best < best:
-                v[k] = t_best
-                best = f_best
-        if improved - best <= 1e-15 * (1.0 + abs(best)):
-            break
-    return v, best
+    """mu (Delta_n(v) * Sigma)^{-1} x' over a batch of m ratio vectors, shape (m,);
+    with a leading batch of permutations in mu_p, x_p (p, n) and sigma_p
+    (p, n, n), shape (p, m)."""
+    deltas = delta_matrix_batch(vs) * sigma_p[..., None, :, :]
+    sols = np.linalg.solve(deltas, np.broadcast_to(x_p[..., None, :, None],
+                                                   deltas.shape[:-1] + (1,)))
+    return np.einsum("...k,...mk->...m", mu_p, sols[..., 0])
 
 
 def usp_infimum(ctx: QuantityContext, x) -> InfimumEstimate:
     """inf over the open positive orthant of E(x, u).
 
-    Starts from the 2^(n-1) vertices of the closed ratio box [0,1]^(n-1) per
-    coordinate permutation and refines the three best by coordinate descent.
-    For n <= 3 the ratio form is a Moebius function of each v_k with no pole
-    on [0,1] (its v_k coefficient is a rank-one block), so the vertex minimum
-    is exact and descent cannot lower it; for n >= 4 descent is the safeguard.
-    certified_positive demands the refined value exceed ten times the
-    refinement delta.
+    The minimum of the ratio form over the 2^(n-1) vertices of the closed
+    ratio box [0,1]^(n-1) and every coordinate permutation, from one batched
+    solve; ties go to the first (permutation, vertex).  For n <= 3 the ratio
+    form is a Moebius function of each v_k with no pole on [0,1] (its v_k
+    coefficient is a rank-one block), so the vertex minimum is the infimum;
+    for n >= 4 it is an upper bound.  certified_positive demands the value
+    exceed ten times its rounding allowance.
     """
     n = ctx.n
     if n > 6:
         raise DimensionError("exhaustive permutation scan limited to n <= 6")
     xv = as_vector(x, ctx.n)
     vertices = np.array(list(itertools.product([0.0, 1.0], repeat=n - 1)))
-
-    candidates = []
-    for perm in itertools.permutations(range(n)):
-        p = list(perm)
-        objective = functools.partial(_ratio_objective_batch, ctx.mu[p],
-                                      ctx.sigma.entries[np.ix_(p, p)], xv[p])
-        vals = objective(vertices)
-        i = int(np.argmin(vals))
-        candidates.append((float(vals[i]), vertices[i], p, objective))
-
-    candidates.sort(key=lambda c: c[0])
-    refined = []
-    for _, v0, p, objective in candidates[:3]:
-        fun = lambda v: float(objective(v[None, :])[0])
-        refined.append((*_coordinate_descent(fun, v0), p))
-    best_v, best, best_perm = min(refined, key=lambda r: r[1])
-
-    uncertainty = max(candidates[0][0] - best, 0.0) + 1e-13 * (1.0 + abs(best))
-    certified = best > 10.0 * uncertainty
-    boundary = bool(np.any(best_v < BOUNDARY_TOL))
-    return InfimumEstimate(best, best_v, best_perm, boundary, certified,
-                           uncertainty, len(candidates) * len(vertices))
+    perms = np.array(list(itertools.permutations(range(n))))
+    sigma_p = ctx.sigma.entries[perms[:, :, None], perms[:, None, :]]
+    vals = _ratio_objective_batch(ctx.mu[perms], sigma_p, xv[perms], vertices)
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    best = float(vals[i, j])
+    uncertainty = 1e-13 * (1.0 + abs(best))
+    return InfimumEstimate(best, vertices[j], perms[i].tolist(), not np.all(vertices[j]),
+                           best > 10.0 * uncertainty, uncertainty, vals.size)
 
 
 @dataclass

@@ -107,19 +107,9 @@ def _power_cut_density(params: dict) -> RayDensity:
                       support_lo=g, pole_at_0=0.0, decay_at_inf=-c)
 
 
-def _lebesgue_density(params: dict) -> RayDensity:
-    # deliberately invalid as a Thorin radial density; used to exercise the
-    # divergence detector
-    scale = float(params.get("scale", 1.0))
-    return RayDensity("lebesgue", {"scale": scale},
-                      lambda v: np.full_like(np.asarray(v, dtype=float), scale),
-                      decay_at_inf=0.0)
-
-
 _RAY_DENSITIES: dict[str, Callable[[dict], RayDensity]] = {
     "beta2": _beta2_density,
     "power_cut": _power_cut_density,
-    "lebesgue": _lebesgue_density,
 }
 
 

@@ -391,6 +391,14 @@ class TestErrors:
                "output": str(tmp_path / "run_")}
         assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 0
 
+    def test_lebesgue_density_is_not_registered(self, tmp_path, capsys):
+        # the flat test density lives in the tests, not in the registry
+        params = dict(WVAG_FIXTURE, U={"n": 2, "components": [
+            {"kind": "ray", "direction": [1.0, 1.0], "density": {"name": "lebesgue"}}]})
+        raw = {"command": "classify", "params": params, "output": str(tmp_path / "run_")}
+        assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 1
+        assert "unknown ray density" in capsys.readouterr().err
+
     def test_usp_beyond_six_dimensions(self, tmp_path, capsys):
         # the permutation scan stops at n = 6; n = 7 is a configuration error
         n = 7

@@ -99,6 +99,16 @@ class TestHDensity:
         with pytest.raises(ValueError):
             h_density(atom_params([0.0, 0.0]), np.array([1.0, 0.0]), 0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0], ids=["zero", "nan", "negative"])
+    @pytest.mark.parametrize("evaluate", [h_many, density_curve], ids=["h_many", "density_curve"])
+    def test_batch_rejects_bad_radius_on_ray_measure(self, evaluate, bad):
+        # one bad radius among good ones, on a ray, whose v-grid divides by r
+        p = WvggParams(np.zeros(2), np.array([1.0, 0.0]),
+                       CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]])),
+                       beta2_measure(1.0, 2.0, [1.0, 1.0]))
+        with pytest.raises(ValueError, match="radius must be positive"):
+            evaluate(p, np.array([0.6, 0.8]), np.array([0.5, bad, 2.0]))
+
 
 class TestHDerivative:
     def test_single_atom_closed_form(self):

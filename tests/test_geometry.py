@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +20,10 @@ def identity_ctx():
 def random_ctx(rng, n, mu_zero=False):
     mu = np.zeros(n) if mu_zero else rng.normal(size=n)
     return QuantityContext(mu, random_spd(rng, n, min_det=1e-3))
+
+
+def _unhex(h):
+    return np.array([_unhex(t) for t in h]) if isinstance(h, list) else float.fromhex(h)
 
 
 class TestQuantities:
@@ -136,7 +142,7 @@ class TestUspInfimum:
 
     def test_value_bounds_samples(self):
         rng = np.random.default_rng(4)
-        for n in (3, 4):
+        for n in (3, 4, 5):
             ctx = random_ctx(rng, n)
             est = usp_infimum(ctx, ctx.mu)
             for _ in range(200):
@@ -147,7 +153,7 @@ class TestUspInfimum:
     def test_matches_closed_box_oracle(self, n, axis_points):
         # for n <= 3 the ratio form is monotone in each v_k on the closed box,
         # so the infimum sits at a vertex; a dense grid over the closed box
-        # (vertices included) is the oracle, and the descent must not move
+        # (vertices included) is the oracle, and the vertex minimum must hit it
         axis = np.linspace(0.0, 1.0, axis_points)
         grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * (n - 1)), indexing="ij")],
                         axis=1)
@@ -163,6 +169,25 @@ class TestUspInfimum:
             assert est.value == pytest.approx(oracle, rel=1e-12, abs=1e-15)
             assert est.uncertainty <= 2e-13 * (1.0 + abs(est.value))
 
+    def test_matches_pinned_draws(self):
+        # seeded draws at n = 1..6 (x = mu, -mu, 0, near mu, random; mu = 0;
+        # diagonal Sigma), recorded from the vertex scan refined by coordinate
+        # descent; the descent never moved on them, so every field must match
+        # bit for bit
+        with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                               "usp_infimum_draws.json")) as fh:
+            cases = json.load(fh)["cases"]
+        assert {c["n"] for c in cases} == set(range(1, 7))
+        for case in cases:
+            ctx = QuantityContext(_unhex(case["mu"]), CovMatrix(_unhex(case["sigma"])))
+            est = usp_infimum(ctx, _unhex(case["x"]))
+            got = {"value": float(est.value).hex(), "uncertainty": float(est.uncertainty).hex(),
+                   "argmin_v": [float(t).hex() for t in est.argmin_v],
+                   "permutation": [int(p) for p in est.permutation],
+                   "boundary": est.boundary, "certified_positive": est.certified_positive,
+                   "samples": est.samples}
+            assert got == {k: case[k] for k in got}, (case["n"], case["kind"])
+
     def test_one_dimension(self):
         ctx = QuantityContext(np.array([2.0]), CovMatrix(np.array([[4.0]])))
         est = usp_infimum(ctx, np.array([-3.0]))
@@ -170,7 +195,7 @@ class TestUspInfimum:
         assert est.samples == 1
         assert not est.certified_positive
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_starts_are_box_vertices(self, n):
         # n! permutations times the 2^(n-1) vertices of the ratio box
         ctx = random_ctx(np.random.default_rng(40 + n), n)

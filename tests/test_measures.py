@@ -12,6 +12,7 @@ from wvgg.measures import (Atom, Curve, NotRaySupported, Ray, RayDensity,
                            measure_to_json, moment_strong, ray_half_moment,
                            register_ray_density, sdcex_measure, validate,
                            WvggParams)
+from wvgg import measures
 from wvgg.linalg import CovMatrix
 from wvgg.quadrature import gauss_panels, improper_integral
 
@@ -20,6 +21,23 @@ def beta2_half_moment(a, b):
     # B(a + 1/2, b - 1/2) / B(a, b), finite only for b > 1/2
     return math.exp(math.lgamma(a + 0.5) + math.lgamma(b - 0.5)
                     - math.lgamma(a) - math.lgamma(b))
+
+
+def lebesgue_density(params):
+    # deliberately invalid as a Thorin radial density; exercises the
+    # divergence detector
+    scale = float(params.get("scale", 1.0))
+    return RayDensity("lebesgue", {"scale": scale},
+                      lambda v: np.full_like(np.asarray(v, dtype=float), scale),
+                      decay_at_inf=0.0)
+
+
+@pytest.fixture
+def lebesgue(monkeypatch):
+    # registered on a copy of the registry, so no other test sees the name
+    monkeypatch.setattr(measures, "_RAY_DENSITIES", dict(measures._RAY_DENSITIES))
+    register_ray_density("lebesgue", lebesgue_density)
+    return make_ray_density("lebesgue", {})
 
 
 class TestValidity:
@@ -33,17 +51,15 @@ class TestValidity:
     def test_beta2_valid_for_all_parameters(self, a, b):
         assert validate(beta2_measure(a, b, [1.0, 1.0])).valid
 
-    def test_lebesgue_ray_invalid(self):
-        m = ThorinMeasure(2, [Ray(np.array([1.0, 1.0]),
-                                  make_ray_density("lebesgue", {}))], check=False)
+    def test_lebesgue_ray_invalid(self, lebesgue):
+        m = ThorinMeasure(2, [Ray(np.array([1.0, 1.0]), lebesgue)], check=False)
         rep = validate(m)
         assert not rep.valid
         assert rep.offending == 0
 
-    def test_constructor_rejects_invalid(self):
+    def test_constructor_rejects_invalid(self, lebesgue):
         with pytest.raises(ValueError, match="Thorin"):
-            ThorinMeasure(2, [Ray(np.array([1.0, 1.0]),
-                                  make_ray_density("lebesgue", {}))])
+            ThorinMeasure(2, [Ray(np.array([1.0, 1.0]), lebesgue)])
 
     def test_all_constructors_validate(self):
         fixtures = [
@@ -111,8 +127,8 @@ class TestIntegrate:
         exact = 2.0 * math.sqrt(2.0) - 1.0 - math.cos(1.0) - math.sin(1.0)
         assert res.value == pytest.approx(exact, rel=1e-12)
 
-    def test_stops_at_first_divergent_component(self):
-        ray = Ray(np.array([1.0, 1.0]), make_ray_density("lebesgue", {}))
+    def test_stops_at_first_divergent_component(self, lebesgue):
+        ray = Ray(np.array([1.0, 1.0]), lebesgue)
         res = integrate([Atom(1.0, np.array([1.0, 1.0])), ray,
                          Curve("circle_theta", (0.0, 1.0))], self.one)
         assert not res.finite

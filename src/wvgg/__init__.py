@@ -3,17 +3,14 @@ gamma convolution Levy processes: diamond-product matrix algebra, the scaled
 Bessel kernel, polar Levy densities, Thorin-measure moment functionals and the
 decision ladder that ties them together."""
 
-from .bessel import (bessel_derivative_check, bessel_tail, kappa_bessel,
-                     kappa_bessel_sup)
+from .bessel import bessel_derivative_check, bessel_tail, kappa_bessel
 from .density import (DensityCurve, char_exponent, density_curve, h_density,
                       h_derivative, h_derivative_at_zero, monotonicity_scan,
                       vg_levy_density, write_density_csv)
 from .engine import (Budget, ClassificationReport, SubclassTag,
                      build_sd_counterexample, classify, equivalent_conditions,
                      identify_subclass)
-from .geometry import (InfimumEstimate, QuantityContext, a_quantity,
-                       d_quantity, e_quantity, extremal_scan, usp_infimum,
-                       v_plus_member)
+from .geometry import InfimumEstimate, QuantityContext, usp_infimum, v_plus_member
 from .linalg import (CovMatrix, diamond_mat, diamond_vec, oppenheim_ratio,
                      sigma_sym, theta_matrix, upsilon_matrix, delta_matrix,
                      xi_det, xi_extrema)

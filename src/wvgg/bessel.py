@@ -15,7 +15,8 @@ exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014), so one fixed grid
 per argument is exact to rounding for every w, from 1e-12 up: no step halving
 and no small-argument branch.
 
-Facts exercised by the rest of the package and pinned by tests:
+Facts pinned by tests (the second and fourth are also rows of
+``wvgg verify-lemmas``):
 
 * kappa_rho is nonincreasing on (0, inf) and bounded by kappa_rho(0+)
   = 2^(rho-1) Gamma(rho) for rho > 0, while kappa_0(r) ~ ln(1/r) as r -> 0.
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .quadrature import gauss_panels, golden_section
+from .quadrature import gauss_panels
 
 LOG2 = math.log(2.0)
 DROP = 40.0            # window edge: the log-integrand this far below its peak
@@ -100,39 +101,6 @@ def kappa_bessel(rho: float, w: float) -> float:
 def kappa_grid(rho: float, ws: np.ndarray) -> np.ndarray:
     """kappa_rho over an array of positive arguments."""
     return np.exp(kappa_log_grid(rho, ws))
-
-
-def kappa_zero_limit(rho: float) -> float:
-    """kappa_rho(0+) = 2^(rho-1) Gamma(rho) for rho > 0, +inf for rho = 0."""
-    if rho <= 0.0:
-        return math.inf
-    return 2.0 ** (rho - 1.0) * math.gamma(rho)
-
-
-def kappa_bessel_sup(rho: float) -> float:
-    """sup_{r>0} r * kappa_rho(r), by grid bracketing plus golden-section.
-
-    The vanishing of r*kappa_rho(r) at the origin is verified alongside; the
-    check scales with kappa_rho(0+) since that is the approach rate.
-    """
-    rs = np.exp(np.linspace(math.log(1e-6), math.log(80.0), 400))
-    vals = rs * kappa_grid(rho, rs)
-    i = int(np.argmax(vals))
-    lo = math.log(rs[max(i - 1, 0)])
-    hi = math.log(rs[min(i + 1, rs.size - 1)])
-
-    def neg(lr: float) -> float:
-        r = math.exp(lr)
-        return -r * kappa_bessel(rho, r)
-
-    _, neg_sup = golden_section(neg, lo, hi, iters=80, tol=1e-12)
-    sup = max(-neg_sup, float(vals[i]))
-
-    r_probe = 1e-8
-    limit_scale = max(1.0, kappa_zero_limit(rho)) if rho > 0 else 1.0
-    if r_probe * kappa_bessel(rho, r_probe) > 1e-6 * limit_scale:
-        raise ArithmeticError("r * kappa_rho(r) fails to vanish at the origin")
-    return sup
 
 
 def _tail_edges(nu: float, r: float) -> np.ndarray:

@@ -162,6 +162,17 @@ def load_config(path: str, command: str | None, seed: int | None,
                 raise ConfigError(f"{key}: {v!r} is not a finite vector of length {params.n}")
             if key == "s_list" and not np.any(arr):
                 raise ConfigError("s_list: a direction must be nonzero")
+        # classify and char-exponent decide or integrate a singular Sigma
+        if cmd in ("density", "usp") and not params.sigma.invertible:
+            raise ConfigError(f"{cmd} needs an invertible sigma")
+    spec = cfg.counterexample
+    if spec:
+        n = spec["n"]
+        for key in ("alpha", "mu", "d"):
+            if key in spec and len(spec[key]) != n:
+                raise ConfigError(f"counterexample: {key} must have length n = {n}")
+        if len(spec["sigma"]) != n or any(len(row) != n for row in spec["sigma"]):
+            raise ConfigError(f"counterexample: sigma must be {n} x {n}")
     return cfg
 
 

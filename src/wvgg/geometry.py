@@ -19,8 +19,7 @@ near-face ratio vectors is numerically hopeless.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,40 +83,6 @@ def quantities(mu: np.ndarray, sigma: np.ndarray, x: np.ndarray,
     return Quantities(e, logd, q, m, np.einsum("kj,kj->k", us, us))
 
 
-def _at(ctx: QuantityContext, x, u) -> Quantities:
-    return quantities(ctx.mu, ctx.sigma.entries, as_vector(x, ctx.n), _check_u(ctx, u)[None, :])
-
-
-def e_quantity(ctx: QuantityContext, x, u) -> float:
-    """Exponent quantity <x, u <> mu>_{(u <> Sigma)^{-1}}."""
-    return float(_at(ctx, x, u).e[0])
-
-
-def a_quantity(ctx: QuantityContext, x, u) -> float:
-    """Argument quantity entering the Bessel kernel; strictly positive for x != 0."""
-    return float(_at(ctx, x, u).a()[0])
-
-
-def d_quantity(ctx: QuantityContext, y, u) -> float:
-    """Denominator quantity ||y||^n |u <> Sigma|^{1/2}; y must be nonzero."""
-    if not np.any(as_vector(y, ctx.n)):
-        raise ValueError("y must be nonzero")
-    return math.exp(_at(ctx, y, u).logd[0])
-
-
-def ade_quantities(ctx: QuantityContext, x, u) -> tuple[float, float, float]:
-    """(A, D, E) from one kernel call."""
-    qq = _at(ctx, x, u)
-    return float(qq.a()[0]), math.exp(qq.logd[0]), float(qq.e[0])
-
-
-def _check_u(ctx: QuantityContext, u) -> np.ndarray:
-    uv = as_vector(u, ctx.n)
-    if np.any(uv <= 0):
-        raise ValueError("u must lie in the open positive orthant")
-    return uv
-
-
 @dataclass
 class InfimumEstimate:
     value: float
@@ -127,14 +92,6 @@ class InfimumEstimate:
     certified_positive: bool
     uncertainty: float = 0.0
     samples: int = 0
-
-
-def u_from_ratios(v: np.ndarray) -> np.ndarray:
-    """Ascending u with u_n = 1 and u_k = prod(v_k..v_{n-1})."""
-    vv = np.asarray(v, dtype=float)
-    u = np.ones(vv.size + 1)
-    u[:-1] = np.cumprod(vv[::-1])[::-1]
-    return u
 
 
 def _ratio_objective_batch(mu_p: np.ndarray, sigma_p: np.ndarray, x_p: np.ndarray,
@@ -198,64 +155,3 @@ def v_plus_member(ctx: QuantityContext, x) -> MembershipResult:
     if est.certified_positive:
         return MembershipResult(True, est)
     return MembershipResult(None, est)
-
-
-@dataclass
-class ScanResult:
-    estimate: float
-    finite_or_positive: bool
-    argmin_u: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-_SCAN_OBJECTIVES = {
-    "inf_norm_y": lambda qq: np.sqrt(qq.q),
-    "sup_norm_umu": lambda qq: -np.sqrt(qq.m),
-    "sup_abs_E": lambda qq: -np.abs(qq.e),
-    "inf_D": lambda qq: np.exp(qq.logd),
-}
-
-
-def extremal_scan(ctx: QuantityContext, which: str, arg=None) -> ScanResult:
-    """Grid + local refinement over the positive part of the unit sphere for
-    the four extremal quantities (inf ||y||, sup ||u <> mu||, sup |E|, inf D).
-    """
-    if which not in _SCAN_OBJECTIVES:
-        raise ValueError(f"unknown scan kind {which!r}")
-    n = ctx.n
-    xv = as_vector(arg, n) if arg is not None else ctx.mu
-
-    def objective(us: np.ndarray) -> np.ndarray:
-        return _SCAN_OBJECTIVES[which](quantities(ctx.mu, ctx.sigma.entries, xv, us))
-
-    if which == "inf_norm_y" and not np.any(xv):
-        raise ValueError("argument must be nonzero")
-    if which == "inf_D" and np.any(xv == 0.0):
-        raise ValueError("argument must have all components nonzero")
-
-    # deterministic sphere grid: normalised positive lattice directions
-    ticks = np.linspace(0.05, 1.0, 7 if n <= 3 else 5)
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*([ticks] * n), indexing="ij")], axis=1)
-    mesh = mesh / np.linalg.norm(mesh, axis=1, keepdims=True)
-    vals = objective(mesh)
-    i = int(np.argmin(vals))
-    u0 = mesh[i]
-
-    from scipy.optimize import minimize
-
-    def obj_log(t):
-        u = np.exp(np.clip(t, -34, 34))
-        return float(objective((u / np.linalg.norm(u))[None, :])[0])
-
-    res = minimize(obj_log, np.log(u0), method="Nelder-Mead",
-                   options={"maxiter": 600, "xatol": 1e-11, "fatol": 1e-13})
-    val = min(float(res.fun), float(vals[i]))
-    u_best = np.exp(np.clip(res.x, -34, 34))
-    u_best = u_best / np.linalg.norm(u_best)
-
-    if which in ("inf_norm_y", "inf_D"):
-        estimate = val
-        ok = estimate > 1e-10
-    else:
-        estimate = -val
-        ok = estimate < 1e10
-    return ScanResult(estimate, ok, u_best)

@@ -1,5 +1,4 @@
-"""Vectorised panel quadrature, improper integrals with divergence detection,
-and the golden-section line search.
+"""Vectorised panel quadrature and improper integrals with divergence detection.
 
 Two workhorses live here:
 
@@ -173,26 +172,3 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray],
         return IntegralResult(vals[-1], math.inf, True, ROUNDS)
     tail_err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else err
     return IntegralResult(vals[-1], max(err, tail_err), False, ROUNDS)
-
-
-def golden_section(f: Callable[[float], float], a: float, b: float, *,
-                   iters: int, tol: float) -> tuple[float, float]:
-    """Golden-section minimisation of f on [a, b] for at most ``iters``
-    bracket reductions or until the bracket is narrower than ``tol``; returns
-    the better (t, f(t)) of the final bracket's two probes."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < tol:
-            break
-    return (c, fc) if fc < fd else (d, fd)

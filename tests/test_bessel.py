@@ -6,8 +6,7 @@ import pytest
 from scipy.special import kve
 
 from wvgg.bessel import (bessel_derivative_check, bessel_tail, kappa_bessel,
-                         kappa_bessel_sup, kappa_grid, kappa_log_grid,
-                         kappa_zero_limit)
+                         kappa_grid, kappa_log_grid)
 
 EULER_GAMMA = 0.5772156649015328606
 ORDERS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.5, 8.0)
@@ -80,7 +79,8 @@ class TestKernel:
     def test_uniform_bound(self):
         rs = np.geomspace(1e-6, 50.0, 200)
         for rho in (0.5, 1.0, 1.5, 2.0):
-            assert np.all(kappa_grid(rho, rs) <= kappa_zero_limit(rho) * (1 + 1e-12))
+            limit = 2.0 ** (rho - 1.0) * math.gamma(rho)    # kappa_rho(0+)
+            assert np.all(kappa_grid(rho, rs) <= limit * (1 + 1e-12))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -100,23 +100,30 @@ class TestKernel:
             kappa_log_grid(math.nan, np.array([1.0]))
 
 
+def r_kappa_scan(rho):
+    """(r, r kappa_rho(r)) on a dense log grid of (1e-6, 80)."""
+    rs = np.geomspace(1e-6, 80.0, 200001)
+    return rs, rs * kappa_grid(rho, rs)
+
+
 class TestSupremum:
     def test_half_order_closed_form(self):
         # r * sqrt(pi/2) e^{-r} peaks at r = 1
         expected = math.sqrt(math.pi / 2.0) * math.exp(-1.0)
-        assert kappa_bessel_sup(0.5) == pytest.approx(expected, rel=1e-8)
+        _, vals = r_kappa_scan(0.5)
+        assert vals.max() == pytest.approx(expected, rel=1e-8)
+        assert vals.max() <= expected * (1 + 1e-12)
 
     def test_vanishing_at_origin(self):
         for rho in (0.0, 0.5, 1.0, 1.5, 2.0):
             assert 1e-8 * kappa_bessel(rho, 1e-8) < 1e-6
 
     def test_order_zero_against_dense_scan(self):
-        rs = np.geomspace(1e-6, 60.0, 20000)
-        dense = float(np.max(rs * kappa_grid(0.0, rs)))
-        val = kappa_bessel_sup(0.0)
-        assert val > 0
-        assert val == pytest.approx(dense, rel=1e-6)
-        assert val >= dense - 1e-12
+        # finite and positive, attained inside the scanned range
+        rs, vals = r_kappa_scan(0.0)
+        i = int(np.argmax(vals))
+        assert 0 < i < rs.size - 1
+        assert 0.0 < vals[i] < math.inf
 
 
 class TestTail:

@@ -368,14 +368,32 @@ class TestErrors:
         ("counterexample", {"counterexample": [2, 0.5]}, []),
         ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, alpha=[1.0, "a"])}, []),
         ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, sigma=[1.0, 1.0])}, []),
+        ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, n=3, alpha=[1.0] * 3,
+                                                   mu=[1.0, 0.0, 0.0])}, []),
+        ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, mu=[1.0, 0.0, 0.0])}, []),
+        ("counterexample", {"counterexample": dict(COUNTEREXAMPLE, d=[0.0])}, []),
+        ("counterexample", {"counterexample": dict(COUNTEREXAMPLE,
+                                                   sigma=[[1.0, 0.0], [0.0]])}, []),
     ], ids=["fractional_seed", "string_seed", "negative_seed", "negative_command_line_seed",
             "missing_alpha", "c=2", "n=1", "typo_key", "not_an_object", "string_in_alpha",
-            "flat_sigma"])
+            "flat_sigma", "n=3_with_2x2_sigma", "3-vector_mu", "1-vector_d", "ragged_sigma"])
     def test_malformed_seed_or_counterexample(self, tmp_path, capsys, command, block, argv):
         raw = {"command": command, "params": WVAG_FIXTURE, "grids": {"r_count": 10},
                "output": str(tmp_path / "run_"), **block}
         assert main(["--config", write_config(tmp_path, "c.json", raw), *argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command,code", [
+        ("density", 1), ("usp", 1), ("classify", 0), ("char-exponent", 0)])
+    def test_singular_sigma(self, tmp_path, capsys, command, code):
+        # density and usp need Sigma^-1; the ladder decides a singular Sigma
+        # (rule 3) and psi integrates it
+        raw = {"command": command, "output": str(tmp_path / "run_"),
+               "params": dict(WVAG_FIXTURE, mu=[1.0, 0.0], sigma=[[1.0, 1.0], [1.0, 1.0]]),
+               "grids": {"r_count": 10, "theta_grid": [[0.5, 0.0]]}}
+        assert main(["--config", write_config(tmp_path, "c.json", raw)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_valid_blocks_accepted(self, tmp_path):
         raw = {"command": "counterexample", "seed": 3,
@@ -412,22 +430,34 @@ class TestErrors:
 
 class TestImports:
     def test_cli_path_loads_no_scipy(self, tmp_path):
-        # a fresh interpreter runs a small classify, one density direction
-        # and one theta on the README example through load_config and the
-        # command handlers; importing scipy.special alone costs about 0.3 s
-        # and 25 MB, more than the rest of the startup, and numpy.ma (pulled
-        # in by the first np.unique call) about 1 MB
+        # a fresh interpreter in which any scipy import fails runs all six
+        # commands through main on the README parameters (small grids, one
+        # density direction, one theta); numpy is the only runtime dependency.
+        # numpy.ma (pulled in by the first np.unique call) costs about 1 MB
         cfg = write_config(tmp_path, "c.json", {
-            "command": "classify", "params": README_PARAMS, "seed": 7,
-            "grids": {"r_count": 20, "s_list": [[0.6, 0.8]],
+            "params": README_PARAMS, "seed": 7,
+            "grids": {"r_count": 20, "s_count": 2, "s_list": [[0.6, 0.8]],
                       "theta_grid": [[1.2, -0.7]]},
-            "tolerances": {"s_samples": 2}})
+            "tolerances": {"s_samples": 2}, "counterexample": COUNTEREXAMPLE})
         code = f"""
 import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy was not blocked")
 from wvgg import cli
-for command, handler in [("classify", cli.cmd_classify), ("density", cli.cmd_density),
-                         ("char-exponent", cli.cmd_char_exponent)]:
-    assert handler(cli.load_config({cfg!r}, command, None, {str(tmp_path / "o_")!r})) == 0
+for command in cli.COMMANDS:
+    rc = cli.main([command, "--config", {cfg!r}, "--out", {str(tmp_path / "o_")!r}])
+    assert rc == 0, (command, rc)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
              or m.split(".")[:2] == ["numpy", "ma"]))
 """

@@ -6,9 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from wvgg.geometry import (QuantityContext, _ratio_objective_batch, a_quantity,
-                           ade_quantities, d_quantity, e_quantity, extremal_scan,
-                           quantities, u_from_ratios, usp_infimum, v_plus_member)
+from wvgg.geometry import (QuantityContext, _ratio_objective_batch, quantities,
+                           usp_infimum, v_plus_member)
 from wvgg.linalg import CovMatrix, DimensionError, delta_matrix, random_spd
 
 
@@ -22,23 +21,30 @@ def random_ctx(rng, n, mu_zero=False):
     return QuantityContext(mu, random_spd(rng, n, min_det=1e-3))
 
 
+def quarter_circle(count):
+    """``count`` points (cos t, sin t) of the open positive unit quarter circle."""
+    ts = np.linspace(1e-4, math.pi / 2 - 1e-4, count)
+    return np.stack([np.cos(ts), np.sin(ts)], axis=1)
+
+
 def _unhex(h):
     return np.array([_unhex(t) for t in h]) if isinstance(h, list) else float.fromhex(h)
 
 
 class TestQuantities:
     def test_identity_worked_values(self, identity_ctx):
-        a, d, e = ade_quantities(identity_ctx, [1.0, 0.0], [1.0, 1.0])
-        assert (a, d, e) == (pytest.approx(2.0), pytest.approx(1.0), pytest.approx(0.0))
+        qq = quantities(identity_ctx.mu, identity_ctx.sigma.entries, np.array([1.0, 0.0]),
+                        np.array([[1.0, 1.0]]))
+        assert (qq.a()[0], math.exp(qq.logd[0]), qq.e[0]) == (
+            pytest.approx(2.0), pytest.approx(1.0), pytest.approx(0.0))
 
     def test_diagonal_sigma_constancy(self):
         ctx = QuantityContext(np.array([1.0, -2.0]), CovMatrix(np.diag([2.0, 5.0])))
         x = np.array([0.7, 0.3])
         expected = float(x @ np.diag([0.5, 0.2]) @ ctx.mu)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            u = rng.uniform(0.01, 10.0, 2)
-            assert e_quantity(ctx, x, u) == pytest.approx(expected, rel=1e-12)
+        us = np.random.default_rng(0).uniform(0.01, 10.0, (20, 2))
+        e = quantities(ctx.mu, ctx.sigma.entries, x, us).e
+        assert np.all(np.abs(e - expected) <= 1e-12 * abs(expected))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -48,8 +54,7 @@ class TestQuantities:
             x = rng.normal(size=n)
             u = rng.uniform(0.05, 5.0, n)
             c = rng.uniform(0.1, 10.0)
-            e1 = e_quantity(ctx, x, u)
-            e2 = e_quantity(ctx, x, c * u)
+            e1, e2 = quantities(ctx.mu, ctx.sigma.entries, x, np.stack([u, c * u])).e
             assert abs(e1 - e2) <= 1e-12 * max(1.0, abs(e1))
 
     def test_cauchy_schwarz_domination(self):
@@ -59,8 +64,8 @@ class TestQuantities:
             ctx = random_ctx(rng, n)
             z = rng.normal(size=n)
             u = rng.uniform(0.05, 5.0, n)
-            a, _, e = ade_quantities(ctx, z, u)
-            assert e * e <= a * a * (1 + 1e-10)
+            qq = quantities(ctx.mu, ctx.sigma.entries, z, u[None, :])
+            assert qq.e[0] ** 2 <= qq.a()[0] ** 2 * (1 + 1e-10)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
@@ -112,14 +117,6 @@ class TestQuantities:
             assert scaled.logd[0] == pytest.approx(base.logd[0], rel=1e-12, abs=1e-12)
             assert scaled.a()[0] == pytest.approx(base.a(t)[0], rel=1e-12)
 
-    def test_d_requires_nonzero(self, identity_ctx):
-        with pytest.raises(ValueError):
-            d_quantity(identity_ctx, np.zeros(2), [1.0, 1.0])
-
-    def test_u_must_be_positive(self, identity_ctx):
-        with pytest.raises(ValueError):
-            a_quantity(identity_ctx, [1.0, 0.0], [1.0, 0.0])
-
 
 class TestUspInfimum:
     def test_zero_drift(self):
@@ -145,9 +142,9 @@ class TestUspInfimum:
         for n in (3, 4, 5):
             ctx = random_ctx(rng, n)
             est = usp_infimum(ctx, ctx.mu)
-            for _ in range(200):
-                u = rng.uniform(0.01, 20.0, n)
-                assert est.value <= e_quantity(ctx, ctx.mu, u) + 1e-10
+            us = rng.uniform(0.01, 20.0, (200, n))
+            assert np.all(est.value <= quantities(ctx.mu, ctx.sigma.entries, ctx.mu, us).e
+                          + 1e-10)
 
     @pytest.mark.parametrize("n,axis_points", [(2, 2001), (3, 201)])
     def test_matches_closed_box_oracle(self, n, axis_points):
@@ -216,8 +213,9 @@ class TestUspInfimum:
             n = int(rng.integers(2, 5))
             ctx = random_ctx(rng, n)
             v = rng.uniform(0.2, 1.0, n - 1)
-            u = u_from_ratios(v)
-            direct = e_quantity(ctx, ctx.mu, u)
+            u = np.ones(n)              # u_n = 1, u_k = v_k ... v_(n-1)
+            u[:-1] = np.cumprod(v[::-1])[::-1]
+            direct = quantities(ctx.mu, ctx.sigma.entries, ctx.mu, u[None, :]).e[0]
             ratio_form = float(ctx.mu @ np.linalg.solve(
                 delta_matrix(v) * ctx.sigma.entries, ctx.mu))
             assert abs(direct - ratio_form) <= 1e-10 * max(1.0, abs(direct))
@@ -258,44 +256,39 @@ class TestMembership:
 
 
 class TestExtremalScan:
+    """Extremes of the quantities over a dense grid of the positive unit sphere."""
+
     def test_inf_norm_identity(self):
-        ctx = QuantityContext(np.zeros(2), CovMatrix(np.eye(2)))
-        res = extremal_scan(ctx, "inf_norm_y", np.array([1.0, 0.0]))
-        assert res.finite_or_positive
-        assert 1.0 - 1e-9 <= res.estimate <= 1.05
+        # ||y||^2 = 1/u_1 at x = (1, 0) and Sigma = I, so inf ||y|| = 1 as u -> (1, 0)
+        us = quarter_circle(4000)
+        norm_y = np.sqrt(quantities(np.zeros(2), np.eye(2), np.array([1.0, 0.0]), us).q)
+        assert np.all(norm_y >= 1.0 - 1e-12)
+        assert norm_y.min() <= 1.05
 
     def test_sup_abs_e_diagonal(self):
-        ctx = QuantityContext(np.array([1.0, 1.0]), CovMatrix(np.diag([1.0, 2.0])))
-        res = extremal_scan(ctx, "sup_abs_E", np.array([1.0, 1.0]))
-        assert res.estimate == pytest.approx(1.5, rel=1e-6)
+        us = quarter_circle(4000)
+        e = quantities(np.array([1.0, 1.0]), np.diag([1.0, 2.0]), np.array([1.0, 1.0]), us).e
+        assert np.max(np.abs(e)) == pytest.approx(1.5, rel=1e-12)
 
     def test_inf_d_positive_vs_dense_scan(self):
-        ctx = QuantityContext(np.zeros(2), CovMatrix(np.eye(2)))
+        # at Sigma = I and n = 2, D = (z_1^2/u_1 + z_2^2/u_2) sqrt(u_1 u_2)
         z = np.array([0.8, -0.6])
-        res = extremal_scan(ctx, "inf_D", z)
-        ts = np.linspace(1e-4, math.pi / 2 - 1e-4, 4000)
-        dense = np.min((z[0] ** 2 / np.cos(ts) + z[1] ** 2 / np.sin(ts))
-                       * np.sqrt(np.cos(ts) * np.sin(ts)))
-        assert res.finite_or_positive
-        assert res.estimate == pytest.approx(float(dense), rel=1e-5)
+        us = quarter_circle(4000)
+        d = np.exp(quantities(np.zeros(2), np.eye(2), z, us).logd)
+        dense = (z[0] ** 2 / us[:, 0] + z[1] ** 2 / us[:, 1]) * np.sqrt(us[:, 0] * us[:, 1])
+        assert d.min() > 0.0
+        assert np.max(np.abs(d / dense - 1.0)) <= 1e-12
+        assert d.min() == pytest.approx(float(dense.min()), rel=1e-12)
 
     def test_sup_norm_umu_finite(self):
-        rng = np.random.default_rng(9)
-        ctx = random_ctx(rng, 3)
-        res = extremal_scan(ctx, "sup_norm_umu")
-        assert res.finite_or_positive
-        assert math.isfinite(res.estimate)
-
-    def test_unknown_kind_rejected(self, identity_ctx):
-        with pytest.raises(ValueError):
-            extremal_scan(identity_ctx, "nonsense", np.ones(2))
-
-
-class TestScanArgumentValidation:
-    def test_inf_d_needs_fully_nonzero_argument(self, identity_ctx):
-        with pytest.raises(ValueError):
-            extremal_scan(identity_ctx, "inf_D", np.array([1.0, 0.0]))
-
-    def test_inf_norm_needs_nonzero_argument(self, identity_ctx):
-        with pytest.raises(ValueError):
-            extremal_scan(identity_ctx, "inf_norm_y", np.zeros(2))
+        # the grid's largest value stays put as the grid closes in on the faces
+        ctx = random_ctx(np.random.default_rng(9), 3)
+        sups = []
+        for floor in (1e-4, 1e-12):
+            ticks = np.geomspace(floor, 1.0, 40)
+            us = np.stack([g.ravel() for g in np.meshgrid(ticks, ticks, ticks, indexing="ij")],
+                          axis=1)
+            us /= np.linalg.norm(us, axis=1, keepdims=True)
+            sups.append(np.sqrt(quantities(ctx.mu, ctx.sigma.entries, ctx.mu, us).m).max())
+        assert math.isfinite(sups[1])
+        assert sups[1] == pytest.approx(sups[0], rel=1e-6)

@@ -15,6 +15,13 @@ exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014), so one fixed grid
 per argument is exact to rounding for every w, from 1e-12 up: no step halving
 and no small-argument branch.
 
+The next order down is one weight away on the same nodes:
+kappa_{rho-1}(w) = 2^(rho-2) int e^{g(x)} e^{-x} dx.  So ``lower=True`` sums
+e^{g} and e^{g} e^{-x} in one pass, on a grid with order rho's step (the finer
+one) over the union of the two orders' windows; the radial derivative of the
+density, which needs kappa_{n/2} and kappa_{(n-2)/2} at the same arguments,
+calls the kernel once.
+
 Facts pinned by tests (the second and fourth are also rows of
 ``wvgg verify-lemmas``):
 
@@ -49,7 +56,21 @@ def _reach(c: np.ndarray) -> np.ndarray:
     return s
 
 
-def kappa_log_grid(rho: float, ws) -> np.ndarray:
+def _window(rho: float, w: np.ndarray):
+    """Order rho's grid for each w: (c, t*, b, step, left reach, right reach),
+    with c = -g''(x*) = 2 t* - rho and b = beta/t* = t* - rho; the reaches are
+    offsets from x* = ln t* where g has fallen at least DROP below its peak."""
+    c = np.hypot(rho, w)
+    t = 0.5 * (rho + c)
+    b = w * (0.25 * w / t)
+    h = np.minimum(0.25, 0.5 / np.sqrt(c))
+    s_left = _reach(DROP / b)
+    if rho > 0.0:
+        s_left = np.minimum(s_left, (DROP + t) / rho)
+    return c, t, b, h, s_left, _reach(DROP / t)
+
+
+def kappa_log_grid(rho: float, ws, *, lower: bool = False) -> np.ndarray:
     """ln kappa_rho(w) for every w of ws (rho >= 0, every w finite and > 0).
 
     About x* = ln t*, with b = beta/t* = t* - rho and s = x - x*, the
@@ -59,22 +80,33 @@ def kappa_log_grid(rho: float, ws) -> np.ndarray:
     from the bounds g(x*) - g(x* + s) >= t* (e^s - 1 - s) and
     g(x*) - g(x* - s) >= b (e^s - 1 - s), or >= rho s - t*.  Each value
     depends on its own argument only, not on the rest of the batch.
+
+    With ``lower`` (rho >= 1) the result has shape (2,) + ws.shape and holds
+    [ln kappa_rho, ln kappa_{rho-1}] from one pass over one grid per
+    argument: kappa_{rho-1}(w) = 2^(rho-2) int e^{g(x)} e^{-x} dx, so the
+    lower order reuses every exponential of the rho sum and only weights it
+    by e^{-s} = 1 - d (s > 0) or 1 + a (s < 0), with d = a/(1 + a).  That
+    grid keeps order rho's step, which is the finer of the two since c grows
+    with rho, and spans the union of both orders' windows, the rho - 1 one
+    shifted by ln(t*_rho / t*_{rho-1}) onto x*_rho: each order meets its own
+    DROP and step criterion.
     """
     ws = np.asarray(ws, dtype=float)
     if not 0.0 <= rho < math.inf or not np.all(np.isfinite(ws) & (ws > 0.0)):
         raise ValueError(f"need order rho >= 0 and finite arguments w > 0, got rho={rho}")
+    if lower and not rho >= 1.0:
+        raise ValueError(f"the lower order rho - 1 needs rho >= 1, got rho={rho}")
     w = ws.ravel()
-    c = np.hypot(rho, w)                      # -g''(x*) = 2 t* - rho
-    t = 0.5 * (rho + c)
-    b = w * (0.25 * w / t)
-    h = np.minimum(0.25, 0.5 / np.sqrt(c))
-    s_left = _reach(DROP / b)
-    if rho > 0.0:
-        s_left = np.minimum(s_left, (DROP + t) / rho)
+    c, t, b, h, s_left, s_right = _window(rho, w)
+    if lower:
+        _, t_low, _, _, left_low, right_low = _window(rho - 1.0, w)
+        shift = np.log(t / t_low)
+        s_left = np.maximum(s_left, left_low + shift)
+        s_right = np.maximum(s_right, right_low - shift)
     n_left = np.ceil(s_left / h)
-    count = n_left + np.ceil(_reach(DROP / t) / h) + 1.0
+    count = n_left + np.ceil(s_right / h) + 1.0
     count = (_NODE_QUANTUM * np.ceil(count / _NODE_QUANTUM)).astype(int)
-    out = np.empty(w.size)
+    out = np.empty((2 if lower else 1, w.size))
     for n in np.flatnonzero(np.bincount(count)):
         rows = np.nonzero(count == n)[0]
         step = max(1, _CHUNK_CELLS // n)
@@ -82,15 +114,24 @@ def kappa_log_grid(rho: float, ws) -> np.ndarray:
         for start in range(0, rows.size, step):
             sel = rows[start:start + step]
             s = (k - n_left[sel, None]) * h[sel, None]
+            right = s > 0.0
             a = np.expm1(np.abs(s))
             d = a / (1.0 + a)
             g = a * d
             g *= -b[sel, None]
             if rho > 0.0:
-                g -= rho * (np.where(s > 0.0, a, -d) - s)
-            out[sel] = np.log(h[sel] * np.exp(g).sum(axis=1))
-    out += (rho - 1.0) * LOG2 + rho * np.log(t) - c
-    return out.reshape(ws.shape)
+                g -= rho * (np.where(right, a, -d) - s)
+            e = np.exp(g)
+            out[0, sel] = np.log(h[sel] * e.sum(axis=1))
+            if lower:
+                e *= np.where(right, 1.0 - d, 1.0 + a)
+                out[1, sel] = np.log(h[sel] * e.sum(axis=1))
+    log_t = np.log(t)
+    out[0] += (rho - 1.0) * LOG2 + rho * log_t - c
+    if not lower:
+        return out[0].reshape(ws.shape)
+    out[1] += (rho - 2.0) * LOG2 + (rho - 1.0) * log_t - c
+    return out.reshape((2,) + ws.shape)
 
 
 def kappa_bessel(rho: float, w: float) -> float:

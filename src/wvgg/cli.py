@@ -27,7 +27,7 @@ import numpy as np
 from . import bessel, linalg
 from .density import default_r_grid, density_curve, char_exponent, write_density_csv
 from .engine import (Budget, VerificationError, build_sd_counterexample,
-                     classify, _sphere_grid)
+                     check_sd_construction, classify, _sphere_grid)
 from .geometry import QuantityContext, usp_infimum
 from .linalg import CovMatrix
 from .measures import WvggParams, params_from_json
@@ -173,6 +173,11 @@ def load_config(path: str, command: str | None, seed: int | None,
                 raise ConfigError(f"counterexample: {key} must have length n = {n}")
         if len(spec["sigma"]) != n or any(len(row) != n for row in spec["sigma"]):
             raise ConfigError(f"counterexample: sigma must be {n} x {n}")
+        try:
+            check_sd_construction(n, spec.get("c", 0.5), spec["alpha"], spec["mu"],
+                                  CovMatrix(spec["sigma"]))
+        except ValueError as exc:
+            raise ConfigError(f"counterexample: {exc}") from exc
     return cfg
 
 

@@ -129,15 +129,16 @@ def _ray_vgrid(qq: Quantities, density: RayDensity, r: float):
 def _kernel_sum(n: int, r: float, w: np.ndarray, e: np.ndarray, a: np.ndarray,
                 logd: np.ndarray, derivative: bool) -> tuple[float, float]:
     """sum w exp(r E - ln D) kappa_{n/2}(r A) and, with ``derivative``, its
-    derivative in r (0.0 without)."""
-    logk = kappa_log_grid(n / 2.0, r * a)
-    base = np.exp(r * e - logd + logk)
-    h = float(np.sum(w * base))
+    derivative in r (0.0 without), sum w exp(r E - ln D) (E kappa_{n/2}(r A)
+    - r A^2 kappa_{(n-2)/2}(r A)).  Either way the kernel is called once: with
+    ``derivative`` it returns both orders from one grid per argument."""
     if not derivative:
-        return h, 0.0
-    logk2 = kappa_log_grid((n - 2) / 2.0, r * a)
+        logk = kappa_log_grid(n / 2.0, r * a)
+        return float(np.sum(w * np.exp(r * e - logd + logk))), 0.0
+    logk, logk2 = kappa_log_grid(n / 2.0, r * a, lower=True)
+    base = np.exp(r * e - logd + logk)
     base2 = np.exp(r * e - logd + logk2)
-    return h, float(np.sum(w * (e * base - r * a ** 2 * base2)))
+    return float(np.sum(w * base)), float(np.sum(w * (e * base - r * a ** 2 * base2)))
 
 
 def _h_terms(geom: _DirectionGeometry, rs, *, derivative: bool) -> np.ndarray:

@@ -478,6 +478,27 @@ class VerificationError(AssertionError):
     pass
 
 
+def check_sd_construction(n: int, c: float, alpha, mu,
+                          sigma: CovMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, mu) as length-n vectors once the construction can take its
+    inputs: c in [1/2, 1], n >= 2, alpha in the open orthant, mu nonzero and
+    an invertible Sigma; ValueError otherwise.  ``load_config`` calls it too,
+    so a config the builder would reject fails as a config error."""
+    if not 0.5 <= c <= 1.0:
+        raise ValueError("exponent c must lie in [1/2, 1]")
+    if n < 2:
+        raise ValueError("construction requires n >= 2")
+    al = as_vector(alpha, n)
+    muv = as_vector(mu, n)
+    if np.any(al <= 0):
+        raise ValueError("alpha must lie in the open positive orthant")
+    if not np.any(muv):
+        raise ValueError("mu must be nonzero")
+    if not sigma.invertible:
+        raise ValueError("Sigma must be invertible")
+    return al, muv
+
+
 def build_sd_counterexample(n: int, c: float, d, alpha, mu, sigma: CovMatrix,
                             axis_measures: list[RayDensity | None] | None = None,
                             *, s_count: int = 32, r_grid=None,
@@ -490,19 +511,8 @@ def build_sd_counterexample(n: int, c: float, d, alpha, mu, sigma: CovMatrix,
     h = E_bar sqrt(pi) Gamma(nu+1/2)/Gamma(nu), E_bar = sup_s <s, m>_{M^-1},
     a_ = inf_s 2||s||^2_{M^-1}, b_ = ||m||^2_{M^-1} inf_s ||s||^2_{M^-1}.
     """
-    if not 0.5 <= c <= 1.0:
-        raise ValueError("exponent c must lie in [1/2, 1]")
-    if n < 2:
-        raise ValueError("construction requires n >= 2")
-    al = as_vector(alpha, n)
-    muv = as_vector(mu, n)
+    al, muv = check_sd_construction(n, c, alpha, mu, sigma)
     dv = as_vector(d, n)
-    if np.any(al <= 0):
-        raise ValueError("alpha must lie in the open positive orthant")
-    if not np.any(muv):
-        raise ValueError("mu must be nonzero")
-    if not sigma.invertible:
-        raise ValueError("Sigma must be invertible")
 
     m_mat = diamond_mat_raw(al, sigma.entries)
     m_vec = al * muv

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -98,6 +100,51 @@ class TestKernel:
             kappa_log_grid(-0.5, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             kappa_log_grid(math.nan, np.array([1.0]))
+
+
+HEX_FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures",
+                           "kappa_log_grid_hex.json")
+
+
+class TestLowerOrder:
+    """``lower=True``: ln kappa_rho and ln kappa_{rho-1} from one grid."""
+
+    WS = np.geomspace(1e-12, 1e4, 49)
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 2.0, 2.5])
+    def test_against_high_precision(self, rho):
+        both = kappa_log_grid(rho, self.WS, lower=True)
+        assert both.shape == (2, self.WS.size)
+        with mpmath.workdps(40):
+            for row, order in enumerate((rho, rho - 1.0)):
+                ref = np.array([float(order * mpmath.log(w) + mpmath.log(mpmath.besselk(order, w)))
+                                for w in self.WS])
+                assert log_kappa_close(both[row], ref)
+
+    def test_rows_independent_of_batch(self):
+        for rho in (1.0, 1.5, 2.0, 2.5):
+            alone = kappa_log_grid(rho, np.array([300.0]), lower=True)[:, 0]
+            batched = kappa_log_grid(rho, np.array([1e-3, 300.0, 1e9]), lower=True)[:, 1]
+            assert np.all(np.abs(batched - alone) <= 1e-14 * np.abs(alone))
+
+    def test_shape_follows_the_arguments(self):
+        ws = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        both = kappa_log_grid(1.5, ws, lower=True)
+        assert both.shape == (2, 2, 3)
+        assert np.allclose(both[0], kappa_log_grid(1.5, ws), rtol=1e-14, atol=0.0)
+
+    def test_needs_order_at_least_one(self):
+        for rho in (0.0, 0.5, 0.999):
+            with pytest.raises(ValueError):
+                kappa_log_grid(rho, np.array([1.0]), lower=True)
+
+    def test_single_order_bits_unchanged(self):
+        # recorded before the kernel gained its lower-order row
+        with open(HEX_FIXTURE) as fh:
+            fixture = json.load(fh)
+        ws = np.array([float.fromhex(w) for w in fixture["ws"]])
+        for rho, expected in fixture["orders"].items():
+            assert [float(v).hex() for v in kappa_log_grid(float(rho), ws)] == expected
 
 
 def r_kappa_scan(rho):

@@ -383,6 +383,21 @@ class TestErrors:
         assert main(["--config", write_config(tmp_path, "c.json", raw), *argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("block", [
+        {"sigma": [[1.0, 1.0], [1.0, 1.0]]},
+        {"alpha": [1.0, 0.0]},
+        {"mu": [0.0, 0.0]},
+        {"sigma": [[1.0, 0.5], [0.4, 1.0]]},
+    ], ids=["singular_sigma", "zero_alpha_entry", "zero_mu", "asymmetric_sigma"])
+    def test_counterexample_inputs_the_construction_rejects(self, tmp_path, capsys, block):
+        # well-formed JSON the construction itself cannot take: caught with
+        # the config, before any work, by the builder's own check
+        raw = {"command": "counterexample", "grids": {"r_count": 10, "s_count": 2},
+               "output": str(tmp_path / "run_"), "counterexample": dict(COUNTEREXAMPLE, **block)}
+        assert main(["--config", write_config(tmp_path, "c.json", raw)]) == 1
+        assert capsys.readouterr().err.startswith("error: counterexample: ")
+        assert not (tmp_path / "run_counterexample.json").exists()
+
     @pytest.mark.parametrize("command,code", [
         ("density", 1), ("usp", 1), ("classify", 0), ("char-exponent", 0)])
     def test_singular_sigma(self, tmp_path, capsys, command, code):

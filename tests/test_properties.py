@@ -156,3 +156,21 @@ def test_e_and_d_invariant_along_rays(case, scales):
         scaled = quantities(params.mu, params.sigma.entries, s, t * points)
         assert np.allclose(scaled.e, base.e, rtol=1e-9, atol=1e-12)
         assert np.allclose(scaled.logd, base.logd, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(wvgg_case())
+def test_density_derivative_matches_finite_difference(case):
+    # dh takes kappa_{n/2 - 1} from the kernel's shared two-order grid, h
+    # from the single-order one: at n = 2 and 3 that checks orders 0 and 1/2.
+    # The five-point difference at step 1e-4 r is good to about 1e-11 here.
+    params, s = case
+    assume(np.all(s != 0))
+    rs = np.array([0.05, 0.5, 3.0])
+    dh = h_many(params, s, rs, derivative=True)
+    step = 1e-4 * rs
+    h = {k: h_many(params, s, rs + k * step) for k in (-2, -1, 1, 2)}
+    fd = (8.0 * (h[1] - h[-1]) - (h[2] - h[-2])) / (12.0 * step)
+    scale = h_many(params, s, rs) / rs + np.abs(dh)
+    assert np.all(np.abs(dh - fd) <= 1e-9 * scale)

@@ -24,9 +24,10 @@ Each direction is discretised once, for h, dh and the A/D and E/D integrals:
   scale the ray's two direction-free moments, which the divergence detector
   finds once per ray and parameter set (``WvggParams.ray_moments``);
 * a curve meeting the face u_k = 0 at a direction with s_k = 0 makes |M|
-  vanish while q stays bounded, so every integrand there grows like 1/D: the
-  detector decides int 1/D over such curves once, and where it diverges h
-  raises ArithmeticError and A/D and E/D read divergent.
+  vanish while q stays bounded, so every integrand there grows like 1/D, that
+  is like theta^(-m/2) where those coordinates vanish to summed order m at
+  theta = 0 (``Curve.order_at_zero``): int 1/D diverges exactly when m >= 2,
+  and there h raises ArithmeticError and A/D and E/D read divergent.
 
 Every term is assembled as exp(r E + ln kappa - ln D) to dodge overflow in
 either factor.  Evaluations require n >= 2; n = 1 is not applicable here.
@@ -67,8 +68,8 @@ class _DirectionGeometry:
     Atoms and curve quadrature nodes form one weighted point set (weights are
     masses and parameter-quadrature weights) with r-independent E, A, ln D.
     Rays keep their kernel row at the direction, since their radial nodes
-    depend on r.  ``divergent`` holds the detector's verdict on int 1/D over
-    the curves that meet a face u_k = 0 where s_k = 0.
+    depend on r.  ``divergent`` is the exact verdict that int 1/D diverges
+    over a curve meeting the faces u_k = 0 where s_k = 0.
     """
 
     def __init__(self, params: WvggParams, s):
@@ -83,7 +84,7 @@ class _DirectionGeometry:
         mu, sigma = params.mu, params.sigma.entries
         points, weights = [np.zeros((0, params.n))], [np.zeros(0)]
         self.rays: list[tuple[Ray, Quantities]] = []
-        on_face = []
+        self.divergent = False
         for c in params.U.positive_part():
             if isinstance(c, Atom):
                 points.append(c.point[None, :])
@@ -94,14 +95,10 @@ class _DirectionGeometry:
                 nodes, w = c.rule
                 points.append(c.points(nodes))
                 weights.append(w)
-                ends = c.points(np.array(c.interval))
-                if np.any((self.s == 0) & np.any(ends == 0, axis=0)):
-                    on_face.append(c)
+                self.divergent |= c.order_at_zero(self.s == 0) >= 2
         self.weights = np.concatenate(weights)
         self.nodes = quantities(mu, sigma, self.s, np.concatenate(points))
         self.a = self.nodes.a()
-        self.divergent = bool(on_face) and not integrate(
-            on_face, lambda p, t: np.exp(-quantities(mu, sigma, self.s, p).logd)).finite
 
 
 def _ray_vgrid(qq: Quantities, density: RayDensity, r: float):

@@ -24,7 +24,9 @@ adds an ``audit_rules_fired`` entry.  Once ``time_limit_s`` has passed, the
 report is INCONCLUSIVE/``budget-exhausted`` with the evidence so far.
 
 Rules 8-9 rest on quadrature and sampling rather than exactly checkable
-hypotheses; their tokens end in ``-numeric`` and set ``numeric_only``.  Rule
+hypotheses; their tokens end in ``-numeric`` and set ``numeric_only``.  So do
+the tokens of rules 6-7 when a finiteness verdict they read came from the
+divergence detector, which only a plug-in ray density still needs.  Rule
 tokens cite the corollary specialisation when the subclass pattern matches
 (weak variance alpha-gamma / matrix-gamma, univariate-subordinator classes),
 the general clause otherwise.
@@ -270,6 +272,11 @@ def classify(params: WvggParams, budget: Budget | None = None,
                                 budget.seed, sorted(tag.tags))
 
 
+def _token(rule: str, numeric: bool) -> str:
+    """The rule token, marked ``-numeric`` when its verdict rests on the detector."""
+    return rule + "-numeric" if numeric else rule
+
+
 def _enough(hits: int, checked: int) -> bool:
     return hits >= max(1, math.ceil(POSITIVE_FRACTION * checked))
 
@@ -323,7 +330,8 @@ def _ladder(params: WvggParams, budget: Budget, tag: SubclassTag,
         evidence.append(Evidence(f"ray_half_moment[{i}]",
                                  r.value if r.finite else math.inf, tol=r.error))
     if moments and all(r.finite and r.value > 0 for r in moments):
-        yield "NOT_SD", "Cor3.3(ii)" if "VGG_n1" in tag else "Thm3.2(vi)"
+        yield "NOT_SD", _token("Cor3.3(ii)" if "VGG_n1" in tag else "Thm3.2(vi)",
+                               any(r.numeric for r in moments))
     deadline()
 
     # 7: strong moment functional
@@ -332,8 +340,8 @@ def _ladder(params: WvggParams, budget: Budget, tag: SubclassTag,
                              strong.value if strong.finite else math.inf,
                              tol=strong.error))
     if strong.finite and strong.value > 0:
-        yield "NOT_SD", ("Cor3.4(ii)" if ("VGG_nn" in tag and "VGG_n1" not in tag)
-                         else "Thm3.2(v)")
+        yield "NOT_SD", _token("Cor3.4(ii)" if ("VGG_nn" in tag and "VGG_n1" not in tag)
+                               else "Thm3.2(v)", strong.numeric)
     deadline()
 
     # 8: sampled cone directions with finite A/D and positive E/D integrals

@@ -10,20 +10,28 @@ A measure is a finite list of components on [0, inf)^n minus the origin:
   curve carries its kinks and the fixed node rule split at them, computed
   once, and every curve integral is split at its kinks.
 
-Validity is the finiteness of int (1 + ln^- ||u||) ^ (1 / ||u||) dU, checked
-numerically with divergence detection.  The moment functionals below feed the
-self-decomposability ladder:
+Validity is the finiteness of int (1 + ln^- ||u||) ^ (1 / ||u||) dU.  The
+moment functionals below feed the self-decomposability ladder:
 
 * strong moment: int (1 + ||u||^(1/2)) (||u||^n / prod u)^(1/2) dU over the
   open positive orthant,
 * per-ray half moments int v^(1/2) dU_k (full and tail-only variants).
+
+The built-in components decide these from their parameters: the named ray
+densities register their validity, mass and half moment in closed form, and
+the named curve maps register that they are unit-norm and the order to which
+each coordinate vanishes at theta = 0.  Validity, the strong moment and the
+full half moments consult the divergence detector only for plug-in ray
+densities, and for the value of a curve's strong moment once its finiteness
+is known; the tail-only half moments and ``WvggParams.ray_moments`` have no
+closed form here and stay on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -52,9 +60,11 @@ class RayDensity:
 
     ``pole_at_0``: exponent p with w(v) ~ (v - lo)^p at the lower support end
     (0 when bounded); ``decay_at_inf``: exponent q with w(v) ~ v^q at infinity.
-    The hints drive quadrature grading only; verdicts never trust them.
-    ``half_moment``: the exact int v^(1/2) w(v) dv (inf when it diverges), or
-    None to leave it to the divergence detector.
+    These two hints drive quadrature grading only; verdicts never trust them.
+    The exact facts below are what verdicts trust, each None to leave it to
+    the divergence detector: ``valid``, whether the validity integral is
+    finite; ``mass``, int w(v) dv; ``half_moment``, int v^(1/2) w(v) dv (inf
+    when either integral diverges).
     """
     name: str
     params: dict
@@ -63,6 +73,8 @@ class RayDensity:
     support_hi: float = math.inf
     pole_at_0: float = 0.0
     decay_at_inf: float = 0.0
+    valid: bool | None = None
+    mass: float | None = None
     half_moment: float | None = None
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
@@ -86,8 +98,9 @@ def _beta2_density(params: dict) -> RayDensity:
     # B(a + 1/2, b - 1/2) / B(a, b), finite only for b > 1/2
     half = (math.exp(math.lgamma(a + 0.5) + math.lgamma(b - 0.5) - math.lgamma(a)
                      - math.lgamma(b)) if b > 0.5 else math.inf)
-    return RayDensity("beta2", {"a": a, "b": b}, w,
-                      pole_at_0=a - 1.0, decay_at_inf=-(1.0 + b), half_moment=half)
+    # valid: w is bounded or ~ v^(a - 1) at 0, and w / v ~ v^(-2 - b) at inf
+    return RayDensity("beta2", {"a": a, "b": b}, w, pole_at_0=a - 1.0,
+                      decay_at_inf=-(1.0 + b), valid=True, mass=1.0, half_moment=half)
 
 
 def _power_cut_density(params: dict) -> RayDensity:
@@ -103,8 +116,48 @@ def _power_cut_density(params: dict) -> RayDensity:
         out[sel] = (a * v[sel] + b) ** (-c)
         return out
 
+    # valid: w is bounded, and w / v ~ v^(-1 - c) at inf
+    mass = (a * g + b) ** (1.0 - c) / (a * (c - 1.0)) if c > 1.0 else math.inf
+    # the tail v^(1/2 - c) decides finiteness; t = b / (a v + b) turns the half
+    # moment into a^(-3/2) b^(3/2 - c) B_T(c - 3/2, 3/2), T = b / (a g + b),
+    # which at g = 0 is the complete B(c - 3/2, 3/2)
+    half = (a ** -1.5 * b ** (1.5 - c) * _incomplete_beta(c - 1.5, 1.5, b / (a * g + b))
+            if c > 1.5 else math.inf)
     return RayDensity("power_cut", {"a": a, "b": b, "c": c, "g": g}, w,
-                      support_lo=g, pole_at_0=0.0, decay_at_inf=-c)
+                      support_lo=g, pole_at_0=0.0, decay_at_inf=-c, valid=True,
+                      mass=mass, half_moment=half)
+
+
+def _incomplete_beta(p: float, q: float, x: float) -> float:
+    """int_0^x t^(p-1) (1-t)^(q-1) dt for p, q > 0 and 0 < x <= 1.
+
+    The continued fraction of the incomplete beta function (modified Lentz)
+    converges fast below the point (p + 1) / (p + q + 2); above it the
+    integral is the complete B(p, q) less the mirrored fraction at 1 - x,
+    which is then the smaller part, so neither side cancels."""
+    complete = math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+    if x >= 1.0:
+        return complete
+
+    def nonzero(z):
+        return z if abs(z) > 1e-300 else 1e-300
+
+    def fraction(p, q, x):
+        c, d = 1.0, 1.0 / nonzero(1.0 - (p + q) * x / (p + 1.0))
+        h = d
+        for m in range(1, 1000):
+            for aa in (m * (q - m) * x / ((p + 2 * m - 1.0) * (p + 2 * m)),
+                       -(p + m) * (p + q + m) * x / ((p + 2 * m) * (p + 2 * m + 1.0))):
+                d, c = 1.0 / nonzero(1.0 + aa * d), nonzero(1.0 + aa / c)
+                h *= d * c
+            if abs(d * c - 1.0) < 1e-15:
+                return h
+        raise ArithmeticError("incomplete beta continued fraction did not converge")
+
+    front = math.exp(p * math.log(x) + q * math.log1p(-x))
+    if x < (p + 1.0) / (p + q + 2.0):
+        return front * fraction(p, q, x) / p
+    return complete - front * fraction(q, p, 1.0 - x) / q
 
 
 _RAY_DENSITIES: dict[str, Callable[[dict], RayDensity]] = {
@@ -126,9 +179,22 @@ def make_ray_density(name: str, params: dict) -> RayDensity:
     return builder(params)
 
 
-_CURVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "circle_theta": lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1),
-    "circle_theta2": lambda t: np.stack([np.cos(t ** 2), np.sin(t ** 2)], axis=-1),
+@dataclass(frozen=True)
+class CurveMap:
+    """A named curve map theta -> c(theta) and its exact facts: ``unit_norm``
+    when ||c(theta)|| = 1 for every theta, and ``orders_at_0``, per
+    coordinate, the order m with c_k(theta) ~ theta^m at theta = 0 (0 where
+    c_k(0) != 0)."""
+    fn: Callable[[np.ndarray], np.ndarray]
+    unit_norm: bool
+    orders_at_0: tuple[int, ...]
+
+
+_CURVES: dict[str, CurveMap] = {
+    "circle_theta": CurveMap(lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1),
+                             True, (0, 1)),
+    "circle_theta2": CurveMap(lambda t: np.stack([np.cos(t ** 2), np.sin(t ** 2)], axis=-1),
+                              True, (0, 2)),
 }
 
 
@@ -182,7 +248,24 @@ class Curve:
             raise ValueError("curve parameter interval must be bounded, nonempty")
 
     def points(self, thetas: np.ndarray) -> np.ndarray:
-        return _CURVES[self.curve](np.asarray(thetas, dtype=float))
+        return _CURVES[self.curve].fn(np.asarray(thetas, dtype=float))
+
+    @property
+    def unit_norm(self) -> bool:
+        return _CURVES[self.curve].unit_norm
+
+    def order_at_zero(self, coords=None) -> int:
+        """Summed order to which the coordinates selected by the boolean mask
+        ``coords`` (all by default) vanish at theta = 0, when 0 lies in the
+        closed parameter interval; 0 otherwise.  A built-in map has no other
+        exact zero on a curve inside the open orthant: its other zeros are
+        irrational and simple, so none is an interval end and an interior one
+        changes the coordinate's sign."""
+        lo, hi = self.interval
+        if not lo <= 0.0 <= hi:
+            return 0
+        orders = np.array(_CURVES[self.curve].orders_at_0)
+        return int(orders.sum() if coords is None else orders[np.asarray(coords)].sum())
 
     @property
     def n(self) -> int:
@@ -263,30 +346,70 @@ def integrate_component(c: Component, g) -> IntegralResult:
                              lo=lo, hi=hi, open_lo=True, open_hi=True, points=c.kinks)
 
 
-def integrate(components, g) -> IntegralResult:
-    """Sum of int g dU over the components, with the sum of their errors and
-    rounds; the first divergent component's result is returned as is."""
-    total, err, rounds = 0.0, 0.0, 0
-    for c in components:
-        res = integrate_component(c, g)
+def _exact(value: float) -> IntegralResult:
+    """A closed-form value: no error when finite, divergent when infinite."""
+    finite = math.isfinite(value)
+    return IntegralResult(value, 0.0 if finite else math.inf, not finite)
+
+
+def _sum(results) -> IntegralResult:
+    """Sum of component results, with the sum of their errors and rounds,
+    numeric when any of them is; the first divergent result is returned as
+    is, and a lazy ``results`` computes none after it."""
+    total, err, rounds, numeric = 0.0, 0.0, 0, False
+    for res in results:
         if not res.finite:
             return res
         total += res.value
         err += res.error
         rounds += res.rounds
-    return IntegralResult(total, err, False, rounds)
+        numeric |= res.numeric
+    return IntegralResult(total, err, False, rounds, numeric)
+
+
+def integrate(components, g) -> IntegralResult:
+    """Sum of int g dU over the components, with the sum of their errors and
+    rounds; the first divergent component's result is returned as is."""
+    return _sum(integrate_component(c, g) for c in components)
 
 
 def _validity_weight(norms: np.ndarray) -> np.ndarray:
     return np.minimum(1.0 + np.maximum(-np.log(norms), 0.0), 1.0 / norms)
 
 
-@dataclass
+def _validity_integral(c: Component) -> IntegralResult:
+    """The validity integral over one component; on a unit-norm curve the
+    weight is 1, so the integral is the parameter length."""
+    if isinstance(c, Curve) and c.unit_norm:
+        lo, hi = c.interval
+        return _exact(hi - lo)
+    return integrate_component(c, lambda points, t: _validity_weight(
+        t * np.linalg.norm(points, axis=-1)))
+
+
+def _is_valid(c: Component) -> bool:
+    known = c.density.valid if isinstance(c, Ray) else None
+    return _validity_integral(c).finite if known is None else known
+
+
 class ValidationReport:
-    valid: bool
-    integral_value: float
-    per_component: list[IntegralResult]
-    offending: int | None = None
+    """Verdict of the validity integral: ``offending`` is the first component
+    whose integral diverges, None when ``valid``.  A ray density's registered
+    ``valid`` decides its ray without the detector; the values are
+    integrated when ``per_component`` or ``integral_value`` is first read."""
+
+    def __init__(self, components: list[Component]):
+        self._components = components
+        self.offending = next((i for i, c in enumerate(components) if not _is_valid(c)), None)
+        self.valid = self.offending is None
+
+    @cached_property
+    def per_component(self) -> list[IntegralResult]:
+        return [_validity_integral(c) for c in self._components]
+
+    @cached_property
+    def integral_value(self) -> float:
+        return sum(r.value for r in self.per_component) if self.valid else math.inf
 
 
 class ThorinMeasure:
@@ -334,15 +457,8 @@ class ThorinMeasure:
 
 
 def validate(measure: ThorinMeasure) -> ValidationReport:
-    """Numerical check of the defining integrability condition."""
-
-    def g(points, t):
-        return _validity_weight(t * np.linalg.norm(points, axis=-1))
-
-    results = [integrate_component(c, g) for c in measure.components]
-    offending = next((i for i, r in enumerate(results) if not r.finite), None)
-    total = sum(r.value for r in results) if offending is None else math.inf
-    return ValidationReport(offending is None, total, results, offending)
+    """Check of the defining integrability condition (``ValidationReport``)."""
+    return ValidationReport(measure.components)
 
 
 # -- named families ----------------------------------------------------------
@@ -405,15 +521,36 @@ def sdcex_measure(a: float, b: float, c: float, g: float, alpha,
 # -- moment functionals -------------------------------------------------------
 
 def moment_strong(measure: ThorinMeasure) -> IntegralResult:
-    """int (1 + ||u||^(1/2)) (||u||^n / prod u)^(1/2) dU over the open orthant."""
+    """int (1 + ||u||^(1/2)) (||u||^n / prod u)^(1/2) dU over the open orthant.
+
+    The orthant factor is scale free.  On a ray u = v alpha with
+    L = ||alpha|| it is F = L^(n/2) / sqrt(prod alpha), so the ray gives
+    F (mass + sqrt(L) half_moment), exact when its density registers both.
+    On a unit-norm curve it is prod c_k^(-1/2), which grows like
+    theta^(-m/2) where the coordinates vanish to summed order m at theta = 0:
+    the moment diverges exactly when m >= 2, and otherwise is finite with its
+    value from the detector.  A plug-in density goes to the detector."""
+    n = measure.n
 
     def g(points, t):
         # the orthant factor is scale free, so only the first factor sees t
         norms = np.linalg.norm(points, axis=-1)
-        factor = norms ** (measure.n / 2.0) / np.sqrt(np.prod(points, axis=-1))
+        factor = norms ** (n / 2.0) / np.sqrt(np.prod(points, axis=-1))
         return (1.0 + np.sqrt(t * norms)) * factor
 
-    return integrate(measure.positive_part(), g)
+    def part(c: Component) -> IntegralResult:
+        if isinstance(c, Ray) and None not in (c.density.mass, c.density.half_moment):
+            length = float(np.linalg.norm(c.direction))
+            factor = length ** (n / 2.0) / math.sqrt(float(np.prod(c.direction)))
+            return _exact(factor * (c.density.mass + math.sqrt(length) * c.density.half_moment))
+        if isinstance(c, Curve) and c.unit_norm:
+            if c.order_at_zero() >= 2:
+                return _exact(math.inf)
+            res = integrate_component(c, g)
+            return replace(res, numeric=False) if res.finite else res
+        return integrate_component(c, g)
+
+    return _sum(part(c) for c in measure.positive_part())
 
 
 @dataclass
@@ -443,9 +580,7 @@ def ray_half_moment(measure: ThorinMeasure, *, tail_only: bool = False) -> list[
             continue
         exact = comp.density.half_moment
         if exact is not None and not tail_only:
-            finite = math.isfinite(exact)
-            out.append(RayMoment(comp.direction, IntegralResult(
-                exact, 0.0 if finite else math.inf, not finite)))
+            out.append(RayMoment(comp.direction, _exact(exact)))
             continue
         lo = comp.density.support_lo
         hi = comp.density.support_hi

@@ -18,7 +18,11 @@ Two workhorses live here:
   high-precision evaluator near the divergence boundary: with the 12-round
   ladder reaching 1e12, tail exponents in roughly (-1.05, -1] are reported
   divergent although the integral is finite (and symmetrically at the origin).
-  Callers needing sharper boundaries must integrate in closed form.
+  Its results are flagged ``numeric``.  The built-in measure components carry
+  their finiteness facts in closed form (``wvgg.measures``), so validity, the
+  strong moment and the full half moments consult this detector only for
+  plug-in ray densities, and otherwise only for values whose finiteness is
+  known; the tail-only half moments and the rays' A moment still rest on it.
 """
 
 from __future__ import annotations
@@ -46,10 +50,14 @@ class DivergentIntegral(Exception):
 
 @dataclass
 class IntegralResult:
+    """An integral's value, error estimate and finite/divergent verdict.
+    ``rounds`` counts the detector rounds behind it; ``numeric`` is True when
+    that verdict rests on the detector, False when it is exact."""
     value: float | complex
     error: float
     divergent: bool
     rounds: int = 0
+    numeric: bool = False
 
     @property
     def finite(self) -> bool:
@@ -160,15 +168,15 @@ def improper_integral(f: Callable[[np.ndarray], np.ndarray],
             prev = vals[-2]
             growths.append(abs(value - prev) / max(abs(prev), 1e-300))
         if abs(value) > CLIP:
-            return IntegralResult(value, math.inf, True, k + 1)
+            return IntegralResult(value, math.inf, True, k + 1, True)
         if len(growths) >= 3 and all(g > 0.5 for g in growths[-3:]) and k >= 5:
-            return IntegralResult(value, math.inf, True, k + 1)
+            return IntegralResult(value, math.inf, True, k + 1, True)
         if len(growths) >= 3 and all(g < 1e-10 for g in growths[-3:]):
-            return IntegralResult(value, max(err, abs(value - prev) * 2), False, k + 1)
+            return IntegralResult(value, max(err, abs(value - prev) * 2), False, k + 1, True)
 
     if not vals:
         raise ValueError("empty integration window")
     if len(growths) >= 3 and all(g > GROWTH_TOL for g in growths[-3:]):
-        return IntegralResult(vals[-1], math.inf, True, ROUNDS)
+        return IntegralResult(vals[-1], math.inf, True, ROUNDS, True)
     tail_err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else err
-    return IntegralResult(vals[-1], max(err, tail_err), False, ROUNDS)
+    return IntegralResult(vals[-1], max(err, tail_err), False, ROUNDS, True)

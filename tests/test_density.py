@@ -536,6 +536,28 @@ class TestFaceContact:
         assert a_res.value == pytest.approx(oracle[0], rel=1e-7)
         assert e_res.value == pytest.approx(oracle[1], rel=1e-7)
 
+    @pytest.mark.parametrize("name,interval,s", [
+        ("circle_theta", (0.0, 1.0), (1.0, 0.0)), ("circle_theta2", (0.0, 1.0), (1.0, 0.0)),
+        ("circle_theta2", (0.2, 1.0), (1.0, 0.0)), ("circle_theta2", (0.0, 1.0), (0.0, 1.0))])
+    def test_face_verdict_from_the_orders_agrees_with_the_detector(
+            self, monkeypatch, name, interval, s):
+        # 1/D grows like theta^(-m/2) at the face: theta^(-1/2), theta^(-1),
+        # and not at all where the curve misses the face or s_k != 0 there
+        s = np.array(s)
+        curve = Curve(name, interval)
+
+        def inverse_d(points, t):
+            return np.exp(-quantities(README_MU, README_SIGMA.entries, s, points).logd)
+
+        detected = integrate([curve], inverse_d)
+        calls = []
+        original = measures.improper_integral
+        monkeypatch.setattr(measures, "improper_integral",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        res = a_over_d_integral(readme_params(ThorinMeasure(2, [curve])), s)
+        assert res.finite == detected.finite
+        assert calls == []
+
 
 class TestKernelCalls:
     def test_ray_only_measure_calls_the_kernel_once_per_ray_and_radius(self, monkeypatch):

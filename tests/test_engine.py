@@ -5,16 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wvgg import engine
+from wvgg import engine, measures
 from wvgg.density import MonotonicityVerdict, default_r_grid
 from wvgg.engine import (Budget, Counterexample, VerificationError,
                          build_sd_counterexample, classify,
                          equivalent_conditions, gstar, gstar_deriv,
                          gstar_f_values, identify_subclass, _sphere_grid)
 from wvgg.linalg import CovMatrix, random_spd
-from wvgg.measures import (Atom, Curve, Ray, ThorinMeasure, WvggParams,
+from wvgg.measures import (Atom, Curve, Ray, RayDensity, ThorinMeasure, WvggParams,
                            alpha_gamma_measure, beta2_measure, circle_measure,
-                           make_ray_density, sdcex_measure)
+                           make_ray_density, register_ray_density, sdcex_measure)
 from wvgg.quadrature import improper_integral
 
 CORR = CovMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -244,6 +244,68 @@ class TestClassifyLadder:
         # the numeric clauses agree with the exact ones on this fixture
         assert "Thm3.2(iv)-numeric" in fired
         assert any(r in fired for r in ("Thm3.2(iii)-numeric", "Thm3.2(ii)-numeric"))
+
+
+def exponential_density(params):
+    # a plug-in density with no registered facts
+    rate = float(params["rate"])
+    return RayDensity("test_exp", {"rate": rate},
+                      lambda v: np.exp(-rate * np.asarray(v, dtype=float)),
+                      decay_at_inf=-math.inf)
+
+
+@pytest.fixture
+def plug_in(monkeypatch):
+    # registered on a copy of the registry, so no other test sees the name
+    monkeypatch.setattr(measures, "_RAY_DENSITIES", dict(measures._RAY_DENSITIES))
+    register_ray_density("test_exp", exponential_density)
+    return make_ray_density("test_exp", {"rate": 1.0})
+
+
+class TestExactFiniteness:
+    MU = np.array([1.0, 0.5])
+
+    @pytest.mark.parametrize("c,expected", [(1.52, 49.396958424), (1.6, 9.4359058127)])
+    def test_power_cut_half_moment_is_exact(self, c, expected):
+        # the detector read c = 1.52 divergent (INCONCLUSIVE/no-rule) and
+        # c = 1.6 as 8.805 +- 0.163
+        U = ThorinMeasure(2, [Ray(np.array([1.0, 2.0]),
+                                  make_ray_density("power_cut", {"a": 1.0, "b": 1.0, "c": c}))])
+        rep = classify(WvggParams(np.zeros(2), self.MU, CORR, U), Budget(seed=7))
+        assert (rep.verdict, rep.rule, rep.numeric_only) == ("NOT_SD", "Thm3.2(vi)", False)
+        (moment,) = [e for e in rep.evidence if e.name == "ray_half_moment[0]"]
+        closed_form = math.exp(math.lgamma(1.5) + math.lgamma(c - 1.5) - math.lgamma(c))
+        assert moment.value == pytest.approx(closed_form, rel=1e-12)
+        assert moment.value == pytest.approx(expected, abs=1e-9)
+        assert moment.tol == 0.0
+
+    def test_truncated_power_cut_half_moment_is_exact(self):
+        # int_g^inf v^(1/2) (a v + b)^-c dv = a^(-3/2) b^(3/2 - c) B_T(c - 3/2, 3/2)
+        # with T = b / (a g + b): for a = b = 1, c = 2 and g = 1.5, B_0.4(1/2, 3/2)
+        U = sdcex_measure(1.0, 1.0, 2.0, 1.5, [1.0, 2.0])
+        rep = classify(WvggParams(np.zeros(2), self.MU, CORR, U), FAST)
+        assert (rep.verdict, rep.rule, rep.numeric_only) == ("NOT_SD", "Thm3.2(vi)", False)
+        (moment,) = rep.evidence
+        t = math.sqrt(0.4)
+        assert moment.value == pytest.approx(math.asin(t) + t * math.sqrt(1.0 - t * t),
+                                             rel=1e-13)
+        assert moment.tol == 0.0
+
+    def test_plug_in_half_moments_are_numeric(self, plug_in):
+        beta2 = make_ray_density("beta2", {"a": 1.0, "b": 2.0})
+        U = ThorinMeasure(2, [Ray(np.array([2.0, 1.0]), beta2),
+                              Ray(np.array([1.0, 2.0]), plug_in)])
+        rep = classify(WvggParams(np.zeros(2), self.MU, CORR, U), FAST)
+        assert (rep.verdict, rep.rule, rep.numeric_only) == (
+            "NOT_SD", "Thm3.2(vi)-numeric", True)
+        assert [e.tol > 0.0 for e in rep.evidence] == [False, True]
+
+    def test_plug_in_strong_moment_is_numeric(self, plug_in):
+        U = ThorinMeasure(2, [Ray(np.array([1.0, 2.0]), plug_in),
+                              Curve("circle_theta", (0.0, 1.0))])
+        rep = classify(WvggParams(np.zeros(2), self.MU, CORR, U), FAST)
+        assert (rep.verdict, rep.rule, rep.numeric_only) == (
+            "NOT_SD", "Thm3.2(v)-numeric", True)
 
 
 def equivalence(U, mu=(1.0, 0.0), sigma=CORR, s=(0.6, 0.8)):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from wvgg.measures import (Atom, Curve, NotRaySupported, Ray, RayDensity,
@@ -372,3 +373,169 @@ class TestDetectorResolution:
         f = lambda v: np.where(v >= 1.0, v ** p, 0.0)
         res = improper_integral(f, lo=1.0, hi=np.inf, open_lo=False)
         assert res.finite == finite
+
+
+def substituted_quad(log_w, p, lo=0.0):
+    """int_lo^inf v^p w(v) dv as int exp(ln w(e^x) + (p + 1) x) dx.  The
+    substitution v = e^x keeps a slow tail such as v^(-1.02) inside the
+    oracle's reach; ``log_w`` takes x."""
+    def f(x):
+        return math.exp(log_w(x) + (p + 1.0) * x)
+
+    x_lo = math.log(lo) if lo > 0 else -math.inf
+    cuts = [x_lo, *([0.0] if x_lo < 0.0 else []), math.inf]
+    return sum(quad(f, a, b, epsabs=0, epsrel=1e-12, limit=500)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def without_facts(dens):
+    # the same density as a plug-in: every finiteness verdict goes to the detector
+    return RayDensity(dens.name + "_bare", dens.params, dens.fn, dens.support_lo,
+                      dens.support_hi, dens.pole_at_0, dens.decay_at_inf)
+
+
+class TestExactFacts:
+    @pytest.mark.parametrize("b", [0.52, 0.6, 1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+    def test_beta2_mass_and_half_moment(self, a, b):
+        dens = make_ray_density("beta2", {"a": a, "b": b})
+        lognorm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+
+        def log_w(x):
+            return lognorm + (a - 1.0) * x - (a + b) * np.logaddexp(0.0, x)
+
+        v = np.array([0.3, 2.0])
+        assert dens(v) == pytest.approx(np.exp(log_w(np.log(v))), rel=1e-13)
+        assert dens.valid
+        assert dens.mass == pytest.approx(substituted_quad(log_w, 0.0), rel=1e-9)
+        assert dens.half_moment == pytest.approx(substituted_quad(log_w, 0.5), rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1.2, 1.52, 1.6, 2.0, 3.0])
+    @pytest.mark.parametrize("a,b,g", [(1.0, 1.0, 0.0), (0.5, 2.0, 0.0), (3.0, 0.7, 0.0),
+                                       (1.0, 1.0, 2.0), (0.5, 2.0, 0.3)])
+    def test_power_cut_mass_and_half_moment(self, a, b, c, g):
+        dens = make_ray_density("power_cut", {"a": a, "b": b, "c": c, "g": g})
+
+        def log_w(x):
+            return -c * np.logaddexp(math.log(a) + x, math.log(b))
+
+        assert dens.valid
+        assert dens.mass == pytest.approx(substituted_quad(log_w, 0.0, lo=g), rel=1e-9)
+        if c <= 1.5:
+            assert dens.half_moment == math.inf
+        else:
+            assert dens.half_moment == pytest.approx(substituted_quad(log_w, 0.5, lo=g),
+                                                     rel=1e-9)
+
+    @pytest.mark.parametrize("p", [0.001, 0.02, 0.5, 2.5, 28.5])
+    @pytest.mark.parametrize("q", [0.3, 1.5, 4.0])
+    def test_incomplete_beta_on_both_sides_of_the_switch(self, p, q):
+        for x in (1e-6, 0.2, 0.5, 0.9, 0.999999, 1.0):
+            assert measures._incomplete_beta(p, q, x) == pytest.approx(
+                special.betainc(p, q, x) * special.beta(p, q), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_power_cut_divergent_mass(self, c):
+        dens = make_ray_density("power_cut", {"a": 1.0, "b": 1.0, "c": c, "g": 1.0})
+        assert dens.mass == math.inf and dens.half_moment == math.inf
+
+    @pytest.mark.parametrize("name", ["circle_theta", "circle_theta2"])
+    def test_curve_orders_are_the_vanishing_orders(self, name):
+        curve = Curve(name, (0.0, 1.0))
+        orders = measures._CURVES[name].orders_at_0
+        thetas = np.geomspace(1e-6, 1e-3, 4)
+        for k, m in enumerate(orders):
+            ratios = curve.points(thetas)[:, k] / thetas ** m
+            # c_k(theta) / theta^m settles on a nonzero finite limit
+            assert ratios[0] > 0.1
+            assert ratios[0] == pytest.approx(ratios[-1], rel=1e-5)
+        assert np.allclose(np.linalg.norm(curve.points(np.linspace(-3.0, 3.0, 601)),
+                                          axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name,interval,order", [
+        ("circle_theta", (0.0, 1.0), 1), ("circle_theta2", (0.0, 1.0), 2),
+        ("circle_theta2", (-0.5, 0.5), 2), ("circle_theta2", (0.2, 1.0), 0),
+        ("circle_theta", (-1.0, 0.0), 1)])
+    def test_order_at_zero_needs_zero_in_the_interval(self, name, interval, order):
+        curve = Curve(name, interval)
+        assert curve.order_at_zero() == order
+        assert curve.order_at_zero(np.array([True, False])) == 0
+
+    def test_unit_norm_curve_validity_is_its_length(self):
+        rep = validate(ThorinMeasure(2, [Curve("circle_theta2", (0.2, 1.1))]))
+        assert rep.valid and rep.integral_value == pytest.approx(0.9, rel=1e-15)
+
+    BUILT_INS = [("beta2", {"a": 1.0, "b": 0.3}), ("beta2", {"a": 0.5, "b": 0.8}),
+                 ("beta2", {"a": 2.0, "b": 3.0}),
+                 ("power_cut", {"a": 1.0, "b": 1.0, "c": 0.7}),
+                 ("power_cut", {"a": 1.0, "b": 1.0, "c": 1.3}),
+                 ("power_cut", {"a": 2.0, "b": 0.5, "c": 1.8}),
+                 ("power_cut", {"a": 1.0, "b": 1.0, "c": 2.5, "g": 1.5})]
+
+    @pytest.mark.parametrize("name,params", BUILT_INS)
+    def test_exact_verdicts_agree_with_the_detector(self, name, params):
+        # every tail exponent here lies outside the detector's (-1.05, -1] band
+        dens = make_ray_density(name, params)
+        bare = without_facts(dens)
+        alpha = np.array([1.0, 2.0])
+        exact = ThorinMeasure(2, [Ray(alpha, dens)])
+        detected = ThorinMeasure(2, [Ray(alpha, bare)], check=False)
+        assert validate(detected).valid == validate(exact).valid is True
+        mass = improper_integral(bare, lo=bare.support_lo)
+        assert mass.finite == math.isfinite(dens.mass)
+        for f in (moment_strong, lambda m: ray_half_moment(m)[0].result):
+            assert f(detected).finite == f(exact).finite
+            assert f(detected).numeric and not f(exact).numeric
+
+    @pytest.mark.parametrize("name,interval", [
+        ("circle_theta", (0.0, 1.0)), ("circle_theta2", (0.0, 1.0)),
+        ("circle_theta2", (0.2, 1.0))])
+    def test_curve_strong_moment_verdict_agrees_with_the_detector(self, name, interval):
+        # the integrand grows like theta^(-1/2), theta^(-1) and not at all
+        curve = Curve(name, interval)
+        n = 2
+
+        def g(points, t):
+            norms = np.linalg.norm(points, axis=-1)
+            return ((1.0 + np.sqrt(t * norms)) * norms ** (n / 2.0)
+                    / np.sqrt(np.prod(points, axis=-1)))
+
+        res = moment_strong(ThorinMeasure(2, [curve]))
+        assert res.finite == integrate_component(curve, g).finite
+        assert res.finite == (curve.order_at_zero() < 2)
+        assert not res.numeric
+
+    def test_readme_measure_and_strong_moment_call_no_detector(self, monkeypatch):
+        calls = []
+        original = measures.improper_integral
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "improper_integral", counted)
+        U = measure_from_json({"n": 2, "components": [
+            {"kind": "atom", "mass": 0.5, "point": [0.5, 0.5]},
+            {"kind": "ray", "direction": [1.0, 1.0],
+             "density": {"name": "beta2", "a": 1.0, "b": 2.0}},
+            {"kind": "curve", "curve": "circle_theta2", "interval": [0, 1]}]})
+        res = moment_strong(U)
+        assert not res.finite and res.error == math.inf and not res.numeric
+        assert calls == []
+        # the ray's validity value is integrated once, when first read
+        rep = validate(U)
+        assert calls == []
+        assert rep.integral_value == pytest.approx(
+            0.5 * (1.0 + math.log(2.0) / 2.0) + rep.per_component[1].value + 1.0, rel=1e-12)
+        assert rep.per_component[1].finite and len(calls) == 1
+        rep.per_component, rep.integral_value
+        assert len(calls) == 1
+
+    def test_ray_strong_moment_matches_the_detector(self):
+        alpha = np.array([1.0, 2.0])
+        dens = make_ray_density("beta2", {"a": 1.0, "b": 2.0})
+        exact = moment_strong(ThorinMeasure(2, [Ray(alpha, dens)]))
+        detected = moment_strong(ThorinMeasure(2, [Ray(alpha, without_facts(dens))],
+                                               check=False))
+        assert exact.value == pytest.approx(detected.value, rel=1e-13)
+        assert exact.error == 0.0 and exact.rounds == 0
